@@ -21,7 +21,7 @@ Typical use::
                       conclusion_of(structure.conclusion_frame, ["Al2"]))
 """
 
-from .conditioning import ConditionedStructure, condition, triggered_arguments
+from .conditioning import ConditionedStructure, condition
 from .decision import (
     ComparisonVerdict,
     DirectionTrace,
@@ -69,7 +69,6 @@ from .semantics import (
     EvidenceFrame,
     EvidenceSentence,
     build_sentence,
-    combine,
     conclusion_of,
     parse_conclusion,
 )
@@ -117,7 +116,6 @@ __all__ = [
     "build_sentence",
     "candidate_sentences",
     "check_consistency",
-    "combine",
     "compare",
     "conclusion_of",
     "condition",
@@ -132,6 +130,5 @@ __all__ = [
     "parse_document",
     "rank",
     "supports_of",
-    "triggered_arguments",
     "__version__",
 ]

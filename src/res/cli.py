@@ -24,7 +24,7 @@ import sys
 
 from . import render
 from .conditioning import condition
-from .decision import candidate_sentences, explain, is_plausible, hasse, rank
+from .decision import candidate_sentences, compare, explain, is_plausible, hasse, rank
 from .dsl import StructureDocument, parse_document
 from .errors import ParseError, ResError
 from .order import build_closure, check_consistency
@@ -149,11 +149,9 @@ def _load(args) -> "StructureDocument":
     return document
 
 
-def _emit(args, text_output: str | None, payload: dict | None) -> None:
-    if args.format == "json":
-        print(render.to_json(payload))
-    else:
-        print(text_output)
+def _emit(args, text, payload) -> None:
+    """Render and print only the requested format."""
+    print(render.to_json(payload()) if args.format == "json" else text())
 
 
 def _run(args) -> int:
@@ -166,8 +164,8 @@ def _run(args) -> int:
         consistency = check_consistency(closure, structure)
         _emit(
             args,
-            render.check_text(structure, validation, consistency),
-            render.check_json(structure, validation, consistency),
+            lambda: render.check_text(structure, validation, consistency),
+            lambda: render.check_json(structure, validation, consistency),
         )
         return 0 if consistency.ok else 2
 
@@ -178,8 +176,8 @@ def _run(args) -> int:
     if args.command == "condition":
         _emit(
             args,
-            render.condition_text(conditioned),
-            render.condition_json(conditioned),
+            lambda: render.condition_text(conditioned),
+            lambda: render.condition_json(conditioned),
         )
         return 0
 
@@ -187,18 +185,19 @@ def _run(args) -> int:
     if args.command in ("compare", "explain"):
         left = _conclusion_operand(frame, args.left)
         right = _conclusion_operand(frame, args.right)
-        trace = explain(conditioned, left, right)
         if args.command == "compare":
+            verdict = compare(conditioned, left, right)
             _emit(
                 args,
-                render.compare_text(trace),
-                render.compare_json(conditioned, trace),
+                lambda: render.compare_text(left, right, verdict),
+                lambda: render.compare_json(conditioned, left, right, verdict),
             )
         else:
+            trace = explain(conditioned, left, right)
             _emit(
                 args,
-                render.explain_text(conditioned, trace),
-                render.explain_json(conditioned, trace),
+                lambda: render.explain_text(conditioned, trace),
+                lambda: render.explain_json(conditioned, trace),
             )
         return 0
 
@@ -207,8 +206,8 @@ def _run(args) -> int:
         result = is_plausible(conditioned, sentence)
         _emit(
             args,
-            render.plausible_text(sentence, result),
-            render.plausible_json(conditioned, sentence, result),
+            lambda: render.plausible_text(sentence, result),
+            lambda: render.plausible_json(conditioned, sentence, result),
         )
         return 0
 
@@ -222,8 +221,8 @@ def _run(args) -> int:
         result = rank(conditioned, candidates)
         _emit(
             args,
-            render.rank_text(conditioned, result),
-            render.rank_json(conditioned, result),
+            lambda: render.rank_text(conditioned, result),
+            lambda: render.rank_json(conditioned, result),
         )
         return 0
 
@@ -233,8 +232,8 @@ def _run(args) -> int:
     else:
         _emit(
             args,
-            render.diagram_text(conditioned, diagram),
-            render.diagram_json(conditioned, diagram),
+            lambda: render.diagram_text(conditioned, diagram),
+            lambda: render.diagram_json(conditioned, diagram),
         )
     return 0
 

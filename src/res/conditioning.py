@@ -67,8 +67,3 @@ def condition(
         triggered,
         frozenset(argument.id for argument in triggered),
     )
-
-
-def triggered_arguments(conditioned: ConditionedStructure) -> list[Argument]:
-    """The triggered arguments, in stable structure order."""
-    return list(conditioned.triggered)

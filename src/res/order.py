@@ -28,6 +28,7 @@ from .errors import DeclarationError, UsageError
 from .structure import (
     EvidenceStructure,
     KIND_EQUAL,
+    KIND_LEQ,
     KIND_STRICT,
     LEVEL_ARGUMENT,
     LEVEL_PRESUMPTION,
@@ -66,20 +67,15 @@ class OrderClosure:
     """The closed strength relation, queryable by argument id."""
 
     def __init__(
-        self,
-        structure: EvidenceStructure,
-        rows: list[int],
-        seeds: dict[tuple[int, int], list[SeedReason]],
+        self, structure: EvidenceStructure, seeds: dict[tuple[int, int], SeedReason]
     ):
         self.structure = structure
         self.ids = tuple(a.id for a in structure.arguments)
         self._index = {arg_id: i for i, arg_id in enumerate(self.ids)}
-        self._rows = rows
         self._seeds = seeds
-        self._adjacency: list[list[int]] = [[] for _ in self.ids]
-        for (i, j) in sorted(seeds):
-            if i != j:
-                self._adjacency[i].append(j)
+        # One seed graph serves both the rows and the chains' tie-break.
+        self._successors = _successors(seeds, len(self.ids))
+        self._rows = _reach(self._successors)
 
     def _at(self, arg_id: str) -> int:
         try:
@@ -91,24 +87,6 @@ class OrderClosure:
         """Is *lower* at most as strong as *upper*?"""
         return bool(self._rows[self._at(lower)] >> self._at(upper) & 1)
 
-    def strictly_less(self, lower: str, upper: str) -> bool:
-        i, j = self._at(lower), self._at(upper)
-        return bool(self._rows[i] >> j & 1) and not self._rows[j] >> i & 1
-
-    def equivalent(self, left: str, right: str) -> bool:
-        i, j = self._at(left), self._at(right)
-        return bool(self._rows[i] >> j & 1) and bool(self._rows[j] >> i & 1)
-
-    def incomparable(self, left: str, right: str) -> bool:
-        i, j = self._at(left), self._at(right)
-        return not self._rows[i] >> j & 1 and not self._rows[j] >> i & 1
-
-    def leq_index(self, i: int, j: int) -> bool:
-        return bool(self._rows[i] >> j & 1)
-
-    def seed_reasons(self, lower: str, upper: str) -> list[SeedReason]:
-        return list(self._seeds.get((self._at(lower), self._at(upper)), []))
-
     def provenance_chain(self, lower: str, upper: str) -> list[ChainStep]:
         """A shortest seed-by-seed derivation of ``lower <= upper``.
 
@@ -116,9 +94,7 @@ class OrderClosure:
         """
         start, goal = self._at(lower), self._at(upper)
         if not self._rows[start] >> goal & 1:
-            raise UsageError(
-                f"{lower!r} is not at most {upper!r}; no chain exists"
-            )
+            raise UsageError(f"{lower!r} is not at most {upper!r}; no chain exists")
         if start == goal:
             return []
         parent: dict[int, int] = {start: start}
@@ -127,7 +103,7 @@ class OrderClosure:
             here = queue.popleft()
             if here == goal:
                 break
-            for there in self._adjacency[here]:
+            for there in self._successors[here]:
                 if there not in parent:
                     parent[there] = here
                     queue.append(there)
@@ -135,162 +111,158 @@ class OrderClosure:
         node = goal
         while node != start:
             prev = parent[node]
-            reason = self._seeds[(prev, node)][0]
+            reason = self._seeds[(prev, node)]
             steps.append(ChainStep(self.ids[prev], self.ids[node], reason))
             node = prev
         steps.reverse()
         return steps
 
 
-def _presumption_preorder(structure: EvidenceStructure) -> set[tuple[int, int]]:
-    """Reflexive-transitive closure of the declared presumption-level pairs,
-    as a set of (model-mask, model-mask) pairs."""
-    pairs: set[tuple[int, int]] = set()
-    for declaration in structure.declarations:
-        if declaration.level != LEVEL_PRESUMPTION:
-            continue
-        left, right = declaration.left.models, declaration.right.models
-        pairs.add((left, right))
-        if declaration.kind == KIND_EQUAL:
-            pairs.add((right, left))
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in list(pairs):
-            for (c, d) in list(pairs):
-                if b == c and (a, d) not in pairs:
-                    pairs.add((a, d))
-                    changed = True
-    return pairs
+def _reach(successors: list[list[int]]) -> list[int]:
+    """Reflexive-transitive closure of a graph given by successor lists.
 
-
-def build_closure(structure: EvidenceStructure) -> OrderClosure:
-    """Seed and close the strength relation for a validated structure."""
-    report = structure.validate()
-    if not report.ok:
-        raise DeclarationError(
-            "structure has declaration errors: " + "; ".join(report.errors)
-        )
-    arguments = structure.arguments
-    count = len(arguments)
-    index = {a.id: i for i, a in enumerate(arguments)}
-    seeds: dict[tuple[int, int], list[SeedReason]] = {}
-
-    def seed(i: int, j: int, kind: str, detail: str) -> None:
-        reasons = seeds.setdefault((i, j), [])
-        if not any(r.kind == kind for r in reasons):
-            reasons.append(SeedReason(kind, detail))
-
-    for declaration in structure.declarations:
-        detail = f"#{declaration.ordinal} {declaration.describe()}"
-        if declaration.level == LEVEL_ARGUMENT:
-            pairs = [(index[declaration.left], index[declaration.right])]
-        else:
-            lows = [
-                index[a.id]
-                for a in structure.arguments_with_presumption(declaration.left)
-            ]
-            highs = [
-                index[a.id]
-                for a in structure.arguments_with_presumption(declaration.right)
-            ]
-            pairs = [(i, j) for i in lows for j in highs]
-        for (i, j) in pairs:
-            seed(i, j, SEED_DECLARATION, detail)
-            if declaration.kind == KIND_EQUAL:
-                seed(j, i, SEED_DECLARATION, detail)
-
-    same_presumption_equal = structure.options.same_presumption_equal
-    for i, lower in enumerate(arguments):
-        for j, upper in enumerate(arguments):
-            if i == j:
-                continue
-            if lower.presumption.models == upper.presumption.models:
-                if lower.conclusion.implies(upper.conclusion):
-                    seed(
-                        i,
-                        j,
-                        SEED_CONSTRAINT_CONCLUSION,
-                        f"{lower.id} concludes a subset of {upper.id}",
-                    )
-                if same_presumption_equal:
-                    seed(
-                        i,
-                        j,
-                        SEED_SAME_PRESUMPTION,
-                        f"{lower.id} and {upper.id} share a presumption",
-                    )
-            elif upper.presumption.implies(lower.presumption):
-                # upper's presumption is strictly more specific than lower's.
-                seed(
-                    i,
-                    j,
-                    SEED_CONSTRAINT_SPECIFICITY,
-                    f"{upper.id} presumes strictly more than {lower.id}",
-                )
-
-    if structure.options.conjunction_lifting:
-        _seed_lifting(structure, index, seed)
-
-    # Close by per-argument breadth-first reachability over the seed graph:
-    # the row of i holds i itself plus everything a seed path reaches.
-    forward: list[list[int]] = [[] for _ in range(count)]
-    for (i, j) in seeds:
-        if i != j:
-            forward[i].append(j)
+    Row ``i`` is a bitmask holding ``i`` itself and every node a path from
+    ``i`` reaches, found by breadth-first search.
+    """
     rows: list[int] = []
-    for start in range(count):
+    for start in range(len(successors)):
         seen = 1 << start
         queue = deque([start])
         while queue:
-            here = queue.popleft()
-            for there in forward[here]:
+            for there in successors[queue.popleft()]:
                 bit = 1 << there
                 if not seen & bit:
                     seen |= bit
                     queue.append(there)
         rows.append(seen)
-    return OrderClosure(structure, rows, seeds)
+    return rows
 
 
-def _seed_lifting(structure: EvidenceStructure, index: dict[str, int], seed) -> None:
+def _successors(pairs, count: int) -> list[list[int]]:
+    """Successor lists of the non-loop *pairs*, each list in sorted order."""
+    successors: list[list[int]] = [[] for _ in range(count)]
+    for (i, j) in sorted(pairs):
+        if i != j:
+            successors[i].append(j)
+    return successors
+
+
+def _groups(structure: EvidenceStructure) -> dict[int, list[int]]:
+    """Argument positions grouped by presumption models, in stable order."""
+    groups: dict[int, list[int]] = {}
+    for i, argument in enumerate(structure.arguments):
+        groups.setdefault(argument.presumption.models, []).append(i)
+    return groups
+
+
+def _declared_pairs(declaration, index, groups) -> list[tuple[int, int]]:
+    """The (lower, upper) argument positions one declaration relates."""
+    if declaration.level == LEVEL_ARGUMENT:
+        return [(index[declaration.left], index[declaration.right])]
+    lows = groups.get(declaration.left.models, [])
+    highs = groups.get(declaration.right.models, [])
+    return [(i, j) for i in lows for j in highs]
+
+
+def build_closure(structure: EvidenceStructure) -> OrderClosure:
+    """Seed and close the strength relation for a validated structure.
+
+    The structure is frozen from here on: a closure would silently go
+    stale if arguments or declarations could still be added.
+    """
+    report = structure.validate()
+    if not report.ok:
+        raise DeclarationError(
+            "structure has declaration errors: " + "; ".join(report.errors)
+        )
+    structure.frozen = True
+    arguments = structure.arguments
+    index = {a.id: i for i, a in enumerate(arguments)}
+    groups = _groups(structure)
+    # One reason per pair, the first recorded; chains only ever show that.
+    seeds: dict[tuple[int, int], SeedReason] = {}
+
+    def seed(i: int, j: int, kind: str, detail: str) -> None:
+        if (i, j) not in seeds:
+            seeds[(i, j)] = SeedReason(kind, detail)
+
+    for declaration in structure.declarations:
+        detail = f"#{declaration.ordinal} {declaration.describe()}"
+        for (i, j) in _declared_pairs(declaration, index, groups):
+            seed(i, j, SEED_DECLARATION, detail)
+            if declaration.kind == KIND_EQUAL:
+                seed(j, i, SEED_DECLARATION, detail)
+
+    # validate() has checked every frame, so raw masks compare directly.
+    same_presumption_equal = structure.options.same_presumption_equal
+    for members in groups.values():
+        for i in members:
+            lower = arguments[i]
+            for j in members:
+                if i == j:
+                    continue
+                upper = arguments[j]
+                if lower.conclusion.members & ~upper.conclusion.members == 0:
+                    detail = f"{lower.id} concludes a subset of {upper.id}"
+                    seed(i, j, SEED_CONSTRAINT_CONCLUSION, detail)
+                if same_presumption_equal:
+                    detail = f"{lower.id} and {upper.id} share a presumption"
+                    seed(i, j, SEED_SAME_PRESUMPTION, detail)
+    for weak, lows in groups.items():
+        for strong, highs in groups.items():
+            if strong == weak or strong & ~weak:
+                continue  # strong's presumption is not strictly more specific
+            for i in lows:
+                for j in highs:
+                    low_id, high_id = arguments[i].id, arguments[j].id
+                    detail = f"{high_id} presumes strictly more than {low_id}"
+                    seed(i, j, SEED_CONSTRAINT_SPECIFICITY, detail)
+
+    if structure.options.conjunction_lifting:
+        _seed_lifting(structure, seed)
+
+    return OrderClosure(structure, seeds)
+
+
+def _seed_lifting(structure: EvidenceStructure, seed) -> None:
     """Seed conjunction-lifting pairs from the declared presumption order."""
-    order = _presumption_preorder(structure)
+    position: dict[int, int] = {}
+    declared: list[tuple[int, int]] = []
+    for declaration in structure.declarations:
+        if declaration.level == LEVEL_PRESUMPTION:
+            low = position.setdefault(declaration.left.models, len(position))
+            high = position.setdefault(declaration.right.models, len(position))
+            declared.append((low, high))
+            if declaration.kind == KIND_EQUAL:
+                declared.append((high, low))
+    rows = _reach(_successors(declared, len(position)))
 
     def below(x, y) -> bool:
-        return x.models == y.models or (x.models, y.models) in order
+        at, to = position.get(x.models), position.get(y.models)
+        return x.models == y.models or (
+            at is not None and to is not None and bool(rows[at] >> to & 1)
+        )
 
-    sources = [
-        a for a in structure.arguments if ORIGIN_CONJUNCTION in a.origins and a.parents
-    ]
-    for source in sources:
-        i = index[source.id]
-        for target in structure.arguments:
-            j = index[target.id]
-            if i == j:
-                continue
-            lifted = False
-            for (x, y) in source.parents:
-                # Collapsed bound: both parents sit below the whole target
-                # presumption.
-                if below(x, target.presumption) and below(y, target.presumption):
-                    lifted = True
-                    break
-                for (tx, ty) in target.parents:
-                    if (below(x, tx) and below(y, ty)) or (
-                        below(x, ty) and below(y, tx)
-                    ):
-                        lifted = True
-                        break
-                if lifted:
-                    break
-            if lifted:
-                seed(
-                    i,
-                    j,
-                    SEED_LIFTING,
-                    f"parents of {source.id} are each outweighed toward {target.id}",
-                )
+    def lifted(source, target) -> bool:
+        # Both parents sit below the whole target presumption (the collapsed
+        # bound), or below the target's two parents, in either pairing.
+        return any(
+            below(x, target.presumption) and below(y, target.presumption)
+            or any(
+                below(x, tx) and below(y, ty) or below(x, ty) and below(y, tx)
+                for (tx, ty) in target.parents
+            )
+            for (x, y) in source.parents
+        )
+
+    arguments = structure.arguments
+    for i, source in enumerate(arguments):
+        if ORIGIN_CONJUNCTION not in source.origins or not source.parents:
+            continue
+        for j, target in enumerate(arguments):
+            if i != j and lifted(source, target):
+                detail = f"parents of {source.id} are each outweighed toward {target.id}"
+                seed(i, j, SEED_LIFTING, detail)
 
 
 @dataclass(frozen=True)
@@ -333,27 +305,18 @@ def check_consistency(
     carries the chain that derives the reverse direction.
     """
     report = ConsistencyReport()
+    ids, rows = closure.ids, closure._rows
+    index, groups = closure._index, _groups(structure)
     for declaration in structure.declarations:
-        if declaration.kind == KIND_STRICT:
-            for (low, high) in _declared_pairs(structure, declaration):
-                if closure.leq(high, low):
-                    report.violations.append(
-                        Violation(
-                            declaration,
-                            (high, low),
-                            tuple(closure.provenance_chain(high, low)),
-                        )
-                    )
-        elif declaration.kind == KIND_EQUAL:
-            for (low, high) in _declared_pairs(structure, declaration):
-                if not (closure.leq(low, high) and closure.leq(high, low)):
-                    report.violations.append(Violation(declaration, (low, high), ()))
+        if declaration.kind == KIND_LEQ:
+            continue
+        for (low, high) in _declared_pairs(declaration, index, groups):
+            up, down = rows[low] >> high & 1, rows[high] >> low & 1
+            if declaration.kind == KIND_STRICT and down:
+                counter = (ids[high], ids[low])
+                chain = tuple(closure.provenance_chain(*counter))
+                report.violations.append(Violation(declaration, counter, chain))
+            elif declaration.kind == KIND_EQUAL and not (up and down):
+                counter = (ids[low], ids[high])
+                report.violations.append(Violation(declaration, counter, ()))
     return report
-
-
-def _declared_pairs(structure, declaration) -> list[tuple[str, str]]:
-    if declaration.level == LEVEL_ARGUMENT:
-        return [(declaration.left, declaration.right)]
-    lows = structure.arguments_with_presumption(declaration.left)
-    highs = structure.arguments_with_presumption(declaration.right)
-    return [(low.id, high.id) for low in lows for high in highs]

@@ -155,20 +155,19 @@ def condition_json(conditioned: ConditionedStructure) -> dict:
 # -- compare / plausible -----------------------------------------------------
 
 
-def compare_text(trace: ExplanationTrace) -> str:
-    return (
-        f"{trace.left.describe()} vs {trace.right.describe()}: "
-        f"{trace.verdict.value}"
-    )
+def compare_text(left, right, verdict: ComparisonVerdict) -> str:
+    return f"{left.describe()} vs {right.describe()}: {verdict.value}"
 
 
-def compare_json(conditioned: ConditionedStructure, trace: ExplanationTrace) -> dict:
+def compare_json(
+    conditioned: ConditionedStructure, left, right, verdict: ComparisonVerdict
+) -> dict:
     return {
         "command": "compare",
         "given": conditioned.given.describe(),
-        "left": trace.left.describe(),
-        "right": trace.right.describe(),
-        "verdict": trace.verdict.value,
+        "left": left.describe(),
+        "right": right.describe(),
+        "verdict": verdict.value,
     }
 
 
@@ -288,7 +287,7 @@ def _direction_text(conditioned, direction) -> list[str]:
 
 
 def explain_text(conditioned: ConditionedStructure, trace: ExplanationTrace) -> str:
-    lines = [compare_text(trace)]
+    lines = [compare_text(trace.left, trace.right, trace.verdict)]
     lines.extend(_direction_text(conditioned, trace.forward))
     lines.extend(_direction_text(conditioned, trace.backward))
     return "\n".join(lines)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from . import formula as _formula
 from .errors import DeclarationError, UsageError
@@ -188,22 +188,6 @@ def build_sentence(frame: EvidenceFrame, formula: str) -> EvidenceSentence:
     """Parse *formula* over *frame* into an :class:`EvidenceSentence`."""
     mask = _formula.parse_formula_mask(formula, _atom_masks(frame), frame.full_mask)
     return EvidenceSentence(frame, mask, formula.strip())
-
-
-def combine(op: str, operands: Sequence[EvidenceSentence]) -> EvidenceSentence:
-    """Apply ``negate`` (unary), ``conjoin`` or ``disjoin`` (n-ary, n >= 1)."""
-    if not operands:
-        raise UsageError("combine needs at least one operand")
-    if op == "negate":
-        if len(operands) != 1:
-            raise UsageError("negate takes exactly one operand")
-        return ~operands[0]
-    if op not in ("conjoin", "disjoin"):
-        raise UsageError(f"unknown combination {op!r}")
-    result = operands[0]
-    for operand in operands[1:]:
-        result = result & operand if op == "conjoin" else result | operand
-    return result
 
 
 @dataclass(frozen=True)

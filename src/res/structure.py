@@ -149,6 +149,8 @@ class EvidenceStructure:
     Build it up with :meth:`add_support`, :meth:`add_refutation` and the
     ``declare_*`` methods, run the generation passes the options ask for,
     then :meth:`validate` and hand it to :func:`res.order.build_closure`.
+    That call freezes the structure: adding an argument or a declaration
+    afterwards raises :class:`UsageError`, since the closure would go stale.
     """
 
     def __init__(
@@ -165,12 +167,20 @@ class EvidenceStructure:
         self.arguments: list[Argument] = []
         self.declarations: list[RelationDeclaration] = []
         self.disjunction_capped = False
+        self.frozen = False  # set by build_closure
         self._position: dict[tuple[int, int], int] = {}
         self._by_id: dict[str, int] = {}
         self._aliases: dict[str, str] = {}
         self._auto = 0
 
     # -- building -----------------------------------------------------------
+
+    def _check_open(self) -> None:
+        if self.frozen:
+            raise UsageError(
+                f"structure {self.name!r} is frozen because a closure was built "
+                "from it; build a new structure instead"
+            )
 
     def _fresh_id(self) -> str:
         while True:
@@ -194,6 +204,7 @@ class EvidenceStructure:
         parents: tuple[tuple[EvidenceSentence, EvidenceSentence], ...] = (),
     ) -> str:
         """Add one argument; returns its id (an existing id on a merge)."""
+        self._check_open()
         self._check_sentences(presumption, conclusion)
         if not presumption.is_satisfiable():
             raise DeclarationError(
@@ -268,6 +279,7 @@ class EvidenceStructure:
         return self.arguments[at]
 
     def declare_argument_relation(self, kind: str, left: str, right: str) -> None:
+        self._check_open()
         if kind not in (KIND_LEQ, KIND_STRICT, KIND_EQUAL):
             raise DeclarationError(f"unknown relation kind {kind!r}")
         left, right = self.resolve_id(left), self.resolve_id(right)
@@ -283,6 +295,7 @@ class EvidenceStructure:
     def declare_presumption_relation(
         self, kind: str, left: EvidenceSentence, right: EvidenceSentence
     ) -> None:
+        self._check_open()
         if kind not in (KIND_LEQ, KIND_STRICT, KIND_EQUAL):
             raise DeclarationError(f"unknown relation kind {kind!r}")
         for sentence in (left, right):

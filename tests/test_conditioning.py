@@ -12,7 +12,6 @@ from res import (
     build_closure,
     build_sentence,
     condition,
-    triggered_arguments,
 )
 
 import oracle
@@ -52,7 +51,6 @@ def test_conditioned_structure_api(example1):
     conditioned = condition(structure, closure, given)
     assert conditioned.is_triggered("t1a")
     assert not conditioned.is_triggered("t2")
-    assert triggered_arguments(conditioned) == list(conditioned.triggered)
     assert conditioned.leq("t1a", "t1b")
     # t2 is not triggered, so no relation involving it is visible.
     assert not conditioned.leq("t2", "t1a")

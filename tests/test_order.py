@@ -13,6 +13,10 @@ from res import (
     build_closure,
     build_sentence,
     check_consistency,
+    conclusion_of,
+    fixture_text,
+    load_structure,
+    parse_document,
 )
 
 import oracle
@@ -37,9 +41,13 @@ def assert_same_closure(structure, closure, model: oracle.OracleModel):
     engine_args = [models_set(a) for a in structure.arguments]
     oracle_args = [(a.presumption, a.conclusion) for a in model.arguments]
     assert engine_args == oracle_args
+    ids = closure.ids
     count = len(engine_args)
     engine_rel = {
-        (i, j) for i in range(count) for j in range(count) if closure.leq_index(i, j)
+        (i, j)
+        for i in range(count)
+        for j in range(count)
+        if closure.leq(ids[i], ids[j])
     }
     assert engine_rel == model.leq
     assert structure.disjunction_capped == model.capped
@@ -161,12 +169,13 @@ def test_seeded_differential_batch():
 
 def keyed_relation(structure, closure):
     keys = [models_set(a) for a in structure.arguments]
+    ids = closure.ids
     count = len(keys)
     return {
         (keys[i], keys[j])
         for i in range(count)
         for j in range(count)
-        if closure.leq_index(i, j)
+        if closure.leq(ids[i], ids[j])
     }
 
 
@@ -196,6 +205,100 @@ def test_declaration_order_is_irrelevant():
         )
 
 
+# -- regrouped seeding: presumptions compared by models, not by text ---------
+
+REGROUP_DOCUMENT = """\
+structure regroup
+evidence atoms: x, y
+alternatives: A, B, C
+options: conjunction_arguments=true, conjunction_lifting=true
+
+arg p: x & y => {A}
+arg q: y & x => {B}
+arg r: !(!x | !y) => {A, B}
+arg s: x => {C}
+arg t: x => {A}
+arg u: y => {A}
+arg w: x & !y => {C}
+rel: p < p
+rel: pres(x) ~ pres(x)
+rel: s < t
+rel: pres(y & x) <= pres(x & !y)
+rel: pres(y) < pres(x & y)
+"""
+
+
+@pytest.mark.parametrize("same_presumption_equal", [True, False])
+def test_regrouped_seeding_matches_oracle(same_presumption_equal):
+    # One presumption written three ways; self-relations at both levels.
+    x, y = atom_mask(2, 0), atom_mask(2, 1)
+    recipe = Recipe(
+        atoms=("x", "y"),
+        alternatives=("A", "B", "C"),
+        supports=(
+            (x & y, 1), (x & y, 2), (x & y, 3), (x, 4), (x, 1), (y, 1), (x & ~y, 4)
+        ),
+        arg_rels=(("strict", 0, 0), ("strict", 3, 4)),
+        pres_rels=(("equal", x, x), ("leq", x & y, x & ~y), ("strict", y, x & y)),
+        same_presumption_equal=same_presumption_equal,
+        conjunction_arguments=True,
+        conjunction_lifting=True,
+    )
+    document = parse_document(REGROUP_DOCUMENT)
+    document.options = dataclasses.replace(
+        document.options, same_presumption_equal=same_presumption_equal
+    )
+    structure = document.to_structure()
+    closure = build_closure(structure)
+    model = oracle.evaluate(recipe)
+    assert_same_closure(structure, closure, model)
+    # Only the option puts q, which concludes more than p, below p.
+    assert closure.leq("q", "p") is same_presumption_equal
+
+    report = check_consistency(closure, structure)
+    where = {a.id: i for i, a in enumerate(structure.arguments)}
+    strict = set()
+    for violation in report.violations:
+        high, low = violation.counter
+        strict.add((where[low], where[high]))
+    assert strict == oracle.strict_violations(model)
+    # Only the self-relation p < p is refuted without a chain.
+    empty = [v.counter for v in report.violations if not v.chain]
+    assert empty == [("p", "p")]
+
+
+# -- a closure freezes its structure ------------------------------------------
+
+
+def test_declaring_after_the_closure_raises():
+    structure = load_structure(fixture_text("example1.res"))
+    closure = build_closure(structure)
+    with pytest.raises(UsageError, match="frozen"):
+        structure.declare_argument_relation("strict", "t1a", "t2")
+    with pytest.raises(UsageError, match="frozen"):
+        structure.declare_presumption_relation(
+            "strict",
+            build_sentence(structure.evidence_frame, "e1"),
+            build_sentence(structure.evidence_frame, "!e2"),
+        )
+    assert structure.declarations == []
+    assert not closure.leq("t1a", "t2")
+
+
+def test_adding_support_after_the_closure_raises():
+    structure = load_structure(fixture_text("example1.res"))
+    closure = build_closure(structure)
+    before = list(structure.arguments)
+    evidence = build_sentence(structure.evidence_frame, "e1 & e2")
+    al3 = conclusion_of(structure.conclusion_frame, ["Al3"])
+    with pytest.raises(UsageError, match="frozen"):
+        structure.add_support(evidence, al3, "late")
+    with pytest.raises(UsageError, match="frozen"):
+        structure.add_refutation(evidence, al3)
+    assert structure.arguments == before
+    assert closure.ids == tuple(a.id for a in before)
+
+
 # -- strictness is derived, never seeded -------------------------------------
 
 
@@ -208,7 +311,7 @@ def test_single_strict_declaration_stays_strict():
     )
     structure, closure = build_engine(recipe)
     first, second = (a.id for a in structure.arguments)
-    assert closure.strictly_less(first, second)
+    assert closure.leq(first, second)
     assert not closure.leq(second, first)
     assert check_consistency(closure, structure).ok
 
@@ -229,8 +332,9 @@ def test_declared_strict_collapsed_by_sharing_a_presumption():
     steps = violation.chain
     ids = [a.id for a in structure.arguments]
     assert steps[0].lower == ids[1] and steps[-1].upper == ids[0]
+    assert [step.reason.kind for step in steps] == ["same-presumption"]
     for step in steps:
-        assert closure.seed_reasons(step.lower, step.upper)
+        assert closure.provenance_chain(step.lower, step.upper) == [step]
 
 
 def test_consistency_differential():
@@ -276,9 +380,8 @@ def test_provenance_chains_are_walkable(hominids):
             for earlier, later in zip(chain, chain[1:]):
                 assert earlier.upper == later.lower
             for step in chain:
-                reasons = closure.seed_reasons(step.lower, step.upper)
-                assert reasons
-                assert step.reason in reasons
+                # Every step is one seed pair, shown with its recorded reason.
+                assert closure.provenance_chain(step.lower, step.upper) == [step]
                 seen_kinds.add(step.reason.kind)
     assert "declaration" in seen_kinds
     assert "presumption-specificity" in seen_kinds
@@ -299,8 +402,8 @@ def test_lifting_seeds_show_up(hominids_lifting):
         if a.presumption.describe() == "e12 & e13"
         and a.conclusion.names() == ("B3",)
     )
-    reasons = closure.seed_reasons(lower, upper)
-    assert any(r.kind == "conjunction-lifting" for r in reasons)
+    chain = closure.provenance_chain(lower, upper)
+    assert any(step.reason.kind == "conjunction-lifting" for step in chain)
     assert closure.leq(lower, upper) and not closure.leq(upper, lower)
 
 

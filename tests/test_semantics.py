@@ -16,7 +16,6 @@ from res import (
     EvidenceSentence,
     FormulaError,
     build_sentence,
-    combine,
     conclusion_of,
     parse_conclusion,
 )
@@ -222,19 +221,6 @@ def test_describe_synthesised_text():
     assert (w | x).describe() == "w | x"
     assert EvidenceSentence(THREE, 0).describe() == "false"
     assert EvidenceSentence(THREE, THREE.full_mask).describe() == "true"
-
-
-def test_combine():
-    w, x, y = (build_sentence(THREE, n) for n in THREE.atoms)
-    assert combine("conjoin", [w, x, y]).models == (w & x & y).models
-    assert combine("disjoin", [w, x]).models == (w | x).models
-    assert combine("negate", [w]).models == (~w).models
-    with pytest.raises(Exception):
-        combine("negate", [w, x])
-    with pytest.raises(Exception):
-        combine("conjoin", [])
-    with pytest.raises(Exception):
-        combine("sideways", [w])
 
 
 # -- parse errors ------------------------------------------------------------
