@@ -19,14 +19,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import re
 import sys
 
 from . import render
 from .conditioning import condition
 from .decision import candidate_sentences, compare, explain, is_plausible, hasse, rank
 from .dsl import StructureDocument, parse_document
-from .errors import ParseError, ResError
+from .errors import DeclarationError, ParseError, ResError
+from .formula import IDENTIFIER
 from .order import build_closure, check_consistency
 from .semantics import (
     ConclusionFrame,
@@ -35,9 +35,7 @@ from .semantics import (
     conclusion_of,
     parse_conclusion,
 )
-from .structure import OPTION_FIELDS, parse_option_value
-
-_BARE_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+from .structure import parse_option
 
 _CONCLUSION_HELP = (
     "a conclusion literal such as '{Al1, Al2}' or '!{Al3}'; "
@@ -118,27 +116,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _conclusion_operand(frame: ConclusionFrame, text: str) -> ConclusionSentence:
+def _operand(frame: ConclusionFrame, text: str) -> ConclusionSentence:
     stripped = text.strip()
-    if _BARE_NAME.match(stripped):
+    if IDENTIFIER.fullmatch(stripped):
         return conclusion_of(frame, [stripped])
     return parse_conclusion(frame, stripped)
 
 
 def _apply_overrides(document: StructureDocument, overrides: list[str]) -> None:
-    values = {}
-    for item in overrides:
-        name, separator, raw = item.partition("=")
-        name = name.strip()
-        if not separator or name not in OPTION_FIELDS:
-            known = ", ".join(sorted(OPTION_FIELDS))
-            raise ResError(
-                f"bad --set {item!r}: expected OPTION=VALUE with OPTION "
-                f"one of {known}"
-            )
-        values[name] = parse_option_value(name, raw.strip())
-    if values:
+    try:
+        values = dict(parse_option(item) for item in overrides)
         document.options = dataclasses.replace(document.options, **values)
+    except DeclarationError as err:
+        items = ", ".join(repr(item) for item in overrides)
+        raise ResError(f"bad --set {items}: {err}") from None
 
 
 def _load(args) -> "StructureDocument":
@@ -183,8 +174,8 @@ def _run(args) -> int:
 
     frame = structure.conclusion_frame
     if args.command in ("compare", "explain"):
-        left = _conclusion_operand(frame, args.left)
-        right = _conclusion_operand(frame, args.right)
+        left = _operand(frame, args.left)
+        right = _operand(frame, args.right)
         if args.command == "compare":
             verdict = compare(conditioned, left, right)
             _emit(
@@ -202,7 +193,7 @@ def _run(args) -> int:
         return 0
 
     if args.command == "plausible":
-        sentence = _conclusion_operand(frame, args.sentence)
+        sentence = _operand(frame, args.sentence)
         result = is_plausible(conditioned, sentence)
         _emit(
             args,
@@ -213,7 +204,7 @@ def _run(args) -> int:
 
     # rank and diagram share their candidate handling
     if args.operands:
-        candidates = [_conclusion_operand(frame, item) for item in args.operands]
+        candidates = [_operand(frame, item) for item in args.operands]
     else:
         candidates = candidate_sentences(frame, args.candidates)
 

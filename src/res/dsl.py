@@ -24,14 +24,14 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import DeclarationError, FormulaError, ParseError, SourceError
-from .formula import parse_conclusion_mask, parse_formula_mask
+from .formula import IDENTIFIER
 from .semantics import (
     ConclusionFrame,
     ConclusionSentence,
     EvidenceFrame,
     EvidenceSentence,
-    _alternative_bits,
-    _atom_masks,
+    build_sentence,
+    parse_conclusion,
 )
 from .structure import (
     EvidenceStructure,
@@ -45,12 +45,10 @@ from .structure import (
     POLICY_COMPLEMENT_SET,
     POLICY_SINGLETONS,
     StructureOptions,
-    parse_option_value,
+    parse_option,
 )
 
-_IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
-_ARG_HEAD = re.compile(r"arg(?:\s+([A-Za-z][A-Za-z0-9_]*))?\s*:\s*")
-_REL_OPS = ("<=", "<", "~")
+_ARG_HEAD = re.compile(rf"arg(?:\s+({IDENTIFIER.pattern}))?\s*:\s*")
 
 
 @dataclass(frozen=True)
@@ -94,10 +92,9 @@ class StructureDocument:
     conclusion_frame: ConclusionFrame
     options: StructureOptions
     body: list = field(default_factory=list)
-    options_line: int = 0
 
     def to_structure(self) -> EvidenceStructure:
-        """Build, generate and validate the evidence structure."""
+        """Build the evidence structure and run its generation passes."""
         structure = EvidenceStructure(
             self.evidence_frame, self.conclusion_frame, self.options, self.name
         )
@@ -125,14 +122,6 @@ class StructureDocument:
         if errors:
             raise ParseError(errors)
         structure.run_generation_passes()
-        report = structure.validate()
-        if not report.ok:
-            raise ParseError(
-                [
-                    SourceError(self.options_line or 1, 1, message)
-                    for message in report.errors
-                ]
-            )
         return structure
 
     def serialize(self) -> str:
@@ -197,14 +186,13 @@ class _DocumentParser:
         if frames is None:
             raise ParseError(self.errors)
         evidence_frame, conclusion_frame = frames
-        options = StructureOptions(**self.option_values)  # type: ignore[arg-type]
+        try:
+            options = StructureOptions(**self.option_values)  # type: ignore[arg-type]
+        except DeclarationError as err:
+            self.error(self.options_line, 1, f"options: {err}")
+            options = StructureOptions()
         document = StructureDocument(
-            self.name or "structure",
-            evidence_frame,
-            conclusion_frame,
-            options,
-            [],
-            self.options_line,
+            self.name or "structure", evidence_frame, conclusion_frame, options
         )
         for number, content in self.body_lines:
             try:
@@ -258,7 +246,7 @@ class _DocumentParser:
 
     def _parse_name(self, number: int, content: str) -> None:
         parts = content.split(None, 1)
-        if len(parts) != 2 or not _IDENT.match(parts[1].strip()):
+        if len(parts) != 2 or not IDENTIFIER.fullmatch(parts[1].strip()):
             self.error(number, 1, "structure name must be an identifier")
             return
         self.name = parts[1].strip()
@@ -271,7 +259,7 @@ class _DocumentParser:
         names = []
         for piece in content.strip()[m.end() :].split(","):
             name = piece.strip()
-            if not _IDENT.match(name):
+            if not IDENTIFIER.fullmatch(name):
                 self.error(number, 1, f"{what} name {name!r} is not an identifier")
                 return None
             names.append(name)
@@ -284,17 +272,11 @@ class _DocumentParser:
             self.error(number, 1, "expected ':' after 'options'")
             return
         for piece in rest[1:].split(","):
-            piece = piece.strip()
-            if not piece:
-                continue
-            name, eq, raw = piece.partition("=")
-            if not eq:
-                self.error(number, 1, f"option {piece!r} is not name=value")
+            if not piece.strip():
                 continue
             try:
-                self.option_values[name.strip()] = parse_option_value(
-                    name.strip(), raw
-                )
+                name, value = parse_option(piece)
+                self.option_values[name] = value
             except DeclarationError as err:
                 self.error(number, 1, str(err))
 
@@ -314,18 +296,6 @@ class _DocumentParser:
         return evidence_frame, conclusion_frame
 
     # -- body ---------------------------------------------------------------
-
-    def _sentence(self, document, text: str, line: int, column: int) -> EvidenceSentence:
-        frame = document.evidence_frame
-        mask = parse_formula_mask(text, _atom_masks(frame), frame.full_mask, line, column)
-        return EvidenceSentence(frame, mask, text.strip())
-
-    def _conclusion(self, document, text: str, line: int, column: int) -> ConclusionSentence:
-        frame = document.conclusion_frame
-        mask = parse_conclusion_mask(
-            text, _alternative_bits(frame), frame.full_mask, line, column
-        )
-        return ConclusionSentence(frame, mask)
 
     def _parse_body_line(self, document, number: int, content: str) -> None:
         stripped = content.strip()
@@ -361,8 +331,8 @@ class _DocumentParser:
         document.body.append(
             ArgDecl(
                 m.group(1),
-                self._sentence(document, formula, number, fcol),
-                self._conclusion(document, conclusion, number, ccol),
+                build_sentence(document.evidence_frame, formula, number, fcol),
+                parse_conclusion(document.conclusion_frame, conclusion, number, ccol),
                 formula.strip(),
                 conclusion.strip(),
                 number,
@@ -387,8 +357,8 @@ class _DocumentParser:
             )
         document.body.append(
             RefuteDecl(
-                self._sentence(document, formula, number, fcol),
-                self._conclusion(document, conclusion, number, tcol),
+                build_sentence(document.evidence_frame, formula, number, fcol),
+                parse_conclusion(document.conclusion_frame, conclusion, number, tcol),
                 policy,
                 formula.strip(),
                 conclusion.strip(),
@@ -443,9 +413,11 @@ class _DocumentParser:
             if depth:
                 raise FormulaError("unbalanced 'pres('", number, rest_col + at)
             inner = rest[m.end() : i - 1]
-            sentence = self._sentence(document, inner, number, rest_col + m.end())
+            sentence = build_sentence(
+                document.evidence_frame, inner, number, rest_col + m.end()
+            )
             return (sentence, inner.strip()), i
-        m = re.compile(r"[A-Za-z][A-Za-z0-9_]*").match(rest, at)
+        m = IDENTIFIER.match(rest, at)
         if m is None:
             raise FormulaError(
                 "expected an argument label or pres(...)", number, rest_col + at
@@ -465,7 +437,7 @@ def parse_document(text: str) -> StructureDocument:
 
 
 def load_structure(text: str) -> EvidenceStructure:
-    """Parse, build, generate and validate a structure from document text."""
+    """Parse, build and generate a structure from document text."""
     return parse_document(text).to_structure()
 
 

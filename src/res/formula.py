@@ -20,7 +20,8 @@ from typing import Mapping
 
 from .errors import FormulaError
 
-_IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+#: The one identifier rule: atoms, alternatives, labels and structure names.
+IDENTIFIER = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 # Unicode aliases for the three connectives.
 _ALIASES = {"¬": "!", "∧": "&", "∨": "|"}
@@ -49,7 +50,7 @@ def tokenize(text: str, column: int = 1) -> list[Token]:
             tokens.append(Token(ch, ch, column + i))
             i += 1
             continue
-        m = _IDENT.match(text, i)
+        m = IDENTIFIER.match(text, i)
         if m:
             tokens.append(Token("ident", m.group(), column + i))
             i = m.end()
@@ -133,6 +134,18 @@ class _FormulaParser(_Parser):
         raise AssertionError("unreachable")
 
 
+def _tokens(text: str, what: str, line: int, column: int) -> list[Token]:
+    """Tokens of *text* located on *line*; *column* is the position of text[0]."""
+    stripped = text.strip()
+    if not stripped:
+        raise FormulaError(f"empty {what}", line, column)
+    offset = column + (len(text) - len(text.lstrip()))
+    try:
+        return tokenize(stripped, offset)
+    except FormulaError as err:
+        raise FormulaError(err.message, line, err.column) from None
+
+
 def parse_formula_mask(
     text: str,
     atom_masks: Mapping[str, int],
@@ -141,14 +154,7 @@ def parse_formula_mask(
     column: int = 1,
 ) -> int:
     """Parse an evidence formula into its valuation mask."""
-    stripped = text.strip()
-    if not stripped:
-        raise FormulaError("empty formula", line, column)
-    offset = column + (len(text) - len(text.lstrip()))
-    try:
-        tokens = tokenize(stripped, offset)
-    except FormulaError as err:
-        raise FormulaError(err.message, line, err.column) from None
+    tokens = _tokens(text, "formula", line, column)
     return _FormulaParser(tokens, line, atom_masks, full).parse()
 
 
@@ -160,15 +166,7 @@ def parse_conclusion_mask(
     column: int = 1,
 ) -> int:
     """Parse a conclusion literal (``{...}`` or ``!{...}``) into a member mask."""
-    stripped = text.strip()
-    if not stripped:
-        raise FormulaError("empty conclusion", line, column)
-    offset = column + (len(text) - len(text.lstrip()))
-    try:
-        tokens = tokenize(stripped, offset)
-    except FormulaError as err:
-        raise FormulaError(err.message, line, err.column) from None
-    parser = _Parser(tokens, line)
+    parser = _Parser(_tokens(text, "conclusion", line, column), line)
     complement = False
     if parser.here.kind == "!":
         complement = True

@@ -304,6 +304,8 @@ def check_consistency(
     derivable (the pair collapsed into an equivalence); the report then
     carries the chain that derives the reverse direction.
     """
+    if closure.structure is not structure:
+        raise UsageError("closure was built for a different structure")
     report = ConsistencyReport()
     ids, rows = closure.ids, closure._rows
     index, groups = closure._index, _groups(structure)

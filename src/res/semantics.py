@@ -11,7 +11,6 @@ exact integer operation with no prover in sight.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable
@@ -22,8 +21,6 @@ from .errors import DeclarationError, UsageError
 MAX_ATOMS = 16
 MAX_ALTERNATIVES = 24
 
-_BARE_TERM = re.compile(r"!?[A-Za-z][A-Za-z0-9_]*\Z")
-
 
 def _check_names(names: tuple[str, ...], what: str, cap: int) -> None:
     if not names:
@@ -32,8 +29,8 @@ def _check_names(names: tuple[str, ...], what: str, cap: int) -> None:
         raise DeclarationError(f"too many {what}s: {len(names)} (limit {cap})")
     seen = set()
     for name in names:
-        if not name:
-            raise DeclarationError(f"empty {what} name")
+        if not isinstance(name, str) or not _formula.IDENTIFIER.fullmatch(name):
+            raise DeclarationError(f"{what} name {name!r} is not an identifier")
         if name in seen:
             raise DeclarationError(f"duplicate {what} name {name!r}")
         seen.add(name)
@@ -161,7 +158,7 @@ class EvidenceSentence:
 
 
 def _needs_parens(text: str) -> bool:
-    return _BARE_TERM.match(text) is None
+    return _formula.IDENTIFIER.fullmatch(text.removeprefix("!")) is None
 
 
 def _and_text(left: str | None, right: str | None) -> str | None:
@@ -184,9 +181,13 @@ def _not_text(text: str | None) -> str | None:
     return f"!{text}" if not _needs_parens(text) else f"!({text})"
 
 
-def build_sentence(frame: EvidenceFrame, formula: str) -> EvidenceSentence:
-    """Parse *formula* over *frame* into an :class:`EvidenceSentence`."""
-    mask = _formula.parse_formula_mask(formula, _atom_masks(frame), frame.full_mask)
+def build_sentence(
+    frame: EvidenceFrame, formula: str, line: int = 1, column: int = 1
+) -> EvidenceSentence:
+    """Parse *formula* over *frame*; errors are located at *line*, *column*."""
+    mask = _formula.parse_formula_mask(
+        formula, _atom_masks(frame), frame.full_mask, line, column
+    )
     return EvidenceSentence(frame, mask, formula.strip())
 
 
@@ -257,10 +258,12 @@ class ConclusionSentence:
         return "{" + ", ".join(self.names()) + "}"
 
 
-def parse_conclusion(frame: ConclusionFrame, text: str) -> ConclusionSentence:
+def parse_conclusion(
+    frame: ConclusionFrame, text: str, line: int = 1, column: int = 1
+) -> ConclusionSentence:
     """Parse a conclusion literal such as ``{Al1, Al2}`` or ``!{Al1}``."""
     mask = _formula.parse_conclusion_mask(
-        text, _alternative_bits(frame), frame.full_mask
+        text, _alternative_bits(frame), frame.full_mask, line, column
     )
     return ConclusionSentence(frame, mask)
 

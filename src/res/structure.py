@@ -15,7 +15,7 @@ the closed relation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .errors import DeclarationError, UsageError
 from .semantics import ConclusionFrame, ConclusionSentence, EvidenceFrame, EvidenceSentence
@@ -88,6 +88,7 @@ class StructureOptions:
     declared presumption-level strengths lift to conjoined presumptions.
     ``disjunction_closure`` iterates pairwise disjunction of arguments to a
     fixpoint, stopping after ``disjunction_closure_cap`` generated arguments.
+    Inconsistent settings raise :class:`DeclarationError` on construction.
     """
 
     same_presumption_equal: bool = True
@@ -96,39 +97,33 @@ class StructureOptions:
     disjunction_closure: bool = False
     disjunction_closure_cap: int = 512
 
-    def problems(self) -> list[str]:
-        issues = []
+    def __post_init__(self):
         if self.conjunction_lifting and not self.conjunction_arguments:
-            issues.append("conjunction_lifting requires conjunction_arguments")
+            raise DeclarationError("conjunction_lifting requires conjunction_arguments")
         if self.disjunction_closure_cap <= 0:
-            issues.append("disjunction_closure_cap must be positive")
-        return issues
+            raise DeclarationError("disjunction_closure_cap must be positive")
 
 
-OPTION_FIELDS = {
-    "same_presumption_equal": bool,
-    "conjunction_arguments": bool,
-    "conjunction_lifting": bool,
-    "disjunction_closure": bool,
-    "disjunction_closure_cap": int,
-}
+#: Option name to value type, in declaration order.
+OPTION_FIELDS = {f.name: type(f.default) for f in fields(StructureOptions)}
 
 
-def parse_option_value(name: str, raw: str):
-    """Parse one textual option assignment; raises DeclarationError."""
-    try:
-        kind = OPTION_FIELDS[name]
-    except KeyError:
-        raise DeclarationError(f"unknown option {name!r}") from None
-    raw = raw.strip()
+def parse_option(item: str) -> tuple[str, bool | int]:
+    """Parse one ``name=value`` option assignment; raises DeclarationError."""
+    name, separator, raw = item.partition("=")
+    name, raw = name.strip(), raw.strip()
+    if not separator:
+        raise DeclarationError(f"option {item.strip()!r} is not name=value")
+    kind = OPTION_FIELDS.get(name)
+    if kind is None:
+        known = ", ".join(OPTION_FIELDS)
+        raise DeclarationError(f"unknown option {name!r} (known: {known})")
     if kind is bool:
-        if raw == "true":
-            return True
-        if raw == "false":
-            return False
+        if raw in ("true", "false"):
+            return name, raw == "true"
         raise DeclarationError(f"option {name} expects true or false, got {raw!r}")
     try:
-        return int(raw)
+        return name, int(raw)
     except ValueError:
         raise DeclarationError(f"option {name} expects an integer, got {raw!r}") from None
 
@@ -380,18 +375,12 @@ class EvidenceStructure:
         self.generate_conjunction_arguments()
         self.apply_disjunction_closure()
 
-    # -- lookup and validation ----------------------------------------------
-
-    def arguments_with_presumption(self, sentence: EvidenceSentence) -> list[Argument]:
-        if sentence.frame != self.evidence_frame:
-            raise UsageError("presumption belongs to a different evidence frame")
-        return [a for a in self.arguments if a.presumption.models == sentence.models]
+    # -- validation ---------------------------------------------------------
 
     def validate(self) -> ValidationReport:
         """Check well-formedness; a structure with errors must not be closed."""
         report = ValidationReport()
-        for issue in self.options.problems():
-            report.errors.append(f"options: {issue}")
+        presumed = {argument.presumption.models for argument in self.arguments}
         for argument in self.arguments:
             if argument.presumption.frame != self.evidence_frame:
                 report.errors.append(f"argument {argument.id}: foreign evidence frame")
@@ -421,7 +410,7 @@ class EvidenceStructure:
                         report.errors.append(f"{label}: foreign evidence frame")
                     elif not sentence.is_satisfiable():
                         report.errors.append(f"{label}: unsatisfiable presumption")
-                    elif not self.arguments_with_presumption(sentence):
+                    elif sentence.models not in presumed:
                         report.warnings.append(
                             f"{label}: no argument presumes {sentence.describe()!r}"
                         )

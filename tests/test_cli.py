@@ -208,6 +208,26 @@ def test_bad_set_overrides_exit_one(capsys):
     capsys.readouterr()
 
 
+def test_set_errors_name_the_flag_and_the_rule(capsys):
+    code, out = run_cli(["check", EXAMPLE1, "--set", "conjunction_lifting=true"])
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == (
+        "res: error: bad --set 'conjunction_lifting=true': "
+        "conjunction_lifting requires conjunction_arguments\n"
+    )
+    assert run_cli(["check", EXAMPLE1, "--set", "disjunction_closure_cap=many"])[0] == 1
+    assert capsys.readouterr().err == (
+        "res: error: bad --set 'disjunction_closure_cap=many': "
+        "option disjunction_closure_cap expects an integer, got 'many'\n"
+    )
+    code, _ = run_cli(
+        ["check", EXAMPLE1, "--set", "conjunction_lifting=true",
+         "--set", "conjunction_arguments=true"]
+    )
+    assert code == 0
+    capsys.readouterr()
+
+
 def test_check_exits_two_on_violations_and_overrides_can_clear_them(tmp_path):
     path = tmp_path / "clash.res"
     path.write_text(

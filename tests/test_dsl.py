@@ -147,6 +147,21 @@ def test_bad_options():
     assert "':'" in err.message
 
 
+def test_inconsistent_options_are_located_at_the_options_line():
+    errors = parse_errors(
+        HEADER + "# the options follow\n"
+        "options: conjunction_lifting=true, disjunction_closure=true\n"
+        "arg a1: e9 => {Al1}\n"
+    )
+    assert [(e.line, e.column) for e in errors] == [(5, 1), (6, 9)]
+    assert errors[0].message == (
+        "options: conjunction_lifting requires conjunction_arguments"
+    )
+    (err,) = parse_errors(HEADER + "options: disjunction_closure_cap=0\n")
+    assert err.line == 4
+    assert err.message == "options: disjunction_closure_cap must be positive"
+
+
 def test_unknown_statement():
     (err,) = parse_errors(HEADER + "foo: bar\n")
     assert err.line == 4

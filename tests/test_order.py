@@ -299,6 +299,20 @@ def test_adding_support_after_the_closure_raises():
     assert closure.ids == tuple(a.id for a in before)
 
 
+@pytest.mark.parametrize(
+    "extra", ["rel: t1a ~ t2\n", "arg extra: e1 => {Al3}\nrel: extra ~ t1a\n"]
+)
+def test_consistency_audit_needs_the_closure_of_that_structure(extra):
+    # Auditing another structure against this closure used to report a
+    # violation the other structure does not have, or raise a bare KeyError.
+    text = fixture_text("example1.res")
+    closure = build_closure(load_structure(text))
+    other = load_structure(text + extra)
+    assert check_consistency(build_closure(other), other).ok
+    with pytest.raises(UsageError, match="closure was built for a different structure"):
+        check_consistency(closure, other)
+
+
 # -- strictness is derived, never seeded -------------------------------------
 
 
@@ -409,20 +423,20 @@ def test_lifting_seeds_show_up(hominids_lifting):
 
 def test_closure_rejects_invalid_structures():
     from res import (
+        Argument,
         ConclusionFrame,
         DeclarationError,
         EvidenceFrame,
+        EvidenceSentence,
         EvidenceStructure,
-        StructureOptions,
         conclusion_of,
     )
 
     frame = EvidenceFrame(("x",))
-    structure = EvidenceStructure(
-        frame, ConclusionFrame(("A", "B")), StructureOptions(conjunction_lifting=True)
-    )
-    structure.add_support(
-        build_sentence(frame, "x"), conclusion_of(structure.conclusion_frame, ["A"])
-    )
-    with pytest.raises(DeclarationError):
+    structure = EvidenceStructure(frame, ConclusionFrame(("A", "B")))
+    conclusion = conclusion_of(structure.conclusion_frame, ["A"])
+    structure.add_support(build_sentence(frame, "x"), conclusion)
+    # add_support refuses this argument, so it goes into the pool directly.
+    structure.arguments.append(Argument("bad", EvidenceSentence(frame, 0), conclusion))
+    with pytest.raises(DeclarationError, match="unsatisfiable presumption"):
         build_closure(structure)

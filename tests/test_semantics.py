@@ -259,6 +259,23 @@ def test_frame_bounds():
     assert ConclusionFrame(("A",)).size == 1
 
 
+@pytest.mark.parametrize("name", ["A,B", "x y", "2x", "", 7])
+def test_frames_accept_only_identifiers(name):
+    with pytest.raises(DeclarationError, match="not an identifier"):
+        EvidenceFrame(("w", name))
+    with pytest.raises(DeclarationError, match="not an identifier"):
+        ConclusionFrame(("A", name))
+
+
+def test_sentence_errors_are_located_where_the_text_sits():
+    with pytest.raises(FormulaError) as caught:
+        build_sentence(THREE, "  w & bogus", line=4, column=10)
+    assert (caught.value.line, caught.value.column) == (4, 16)
+    with pytest.raises(FormulaError) as caught:
+        parse_conclusion(ALTS, " {A, D}", line=2, column=5)
+    assert (caught.value.line, caught.value.column) == (2, 10)
+
+
 def test_mixed_frames_are_rejected():
     other = EvidenceFrame(("w", "x", "y"))
     a = build_sentence(THREE, "w")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from res import (
@@ -16,7 +18,7 @@ from res import (
     build_sentence,
     conclusion_of,
 )
-from res.structure import parse_option_value
+from res.structure import parse_option
 
 FRAME = EvidenceFrame(("x", "y"))
 ALTS = ConclusionFrame(("A", "B", "C"))
@@ -207,29 +209,33 @@ def test_generation_passes_are_idempotent():
 
 
 def test_option_parsing():
-    assert parse_option_value("same_presumption_equal", "true") is True
-    assert parse_option_value("conjunction_arguments", "false") is False
-    assert parse_option_value("disjunction_closure_cap", "32") == 32
+    assert parse_option("same_presumption_equal=true") == ("same_presumption_equal", True)
+    assert parse_option(" conjunction_arguments = false ") == ("conjunction_arguments", False)
+    assert parse_option("disjunction_closure_cap=32") == ("disjunction_closure_cap", 32)
     with pytest.raises(DeclarationError):
-        parse_option_value("same_presumption_equal", "yes")
+        parse_option("same_presumption_equal=yes")
     with pytest.raises(DeclarationError):
-        parse_option_value("disjunction_closure_cap", "many")
-    with pytest.raises(DeclarationError):
-        parse_option_value("unheard_of", "true")
+        parse_option("disjunction_closure_cap=many")
+    with pytest.raises(DeclarationError, match="unknown option 'unheard_of'"):
+        parse_option("unheard_of=true")
+    with pytest.raises(DeclarationError, match="not name=value"):
+        parse_option("same_presumption_equal")
 
 
 def test_option_problems():
-    assert StructureOptions().problems() == []
-    assert StructureOptions(conjunction_lifting=True).problems() != []
-    assert StructureOptions(disjunction_closure_cap=0).problems() != []
-
-
-def test_validate_flags_option_problems():
-    s = fresh(conjunction_lifting=True)
-    s.add_support(sentence("x"), c("A"))
-    report = s.validate()
-    assert not report.ok
-    assert any("conjunction_lifting" in e for e in report.errors)
+    """Inconsistent options never reach a structure: construction raises."""
+    StructureOptions(conjunction_arguments=True, conjunction_lifting=True)
+    with pytest.raises(DeclarationError, match="requires conjunction_arguments"):
+        StructureOptions(conjunction_lifting=True)
+    with pytest.raises(DeclarationError, match="must be positive"):
+        StructureOptions(disjunction_closure_cap=0)
+    with pytest.raises(DeclarationError, match="requires conjunction_arguments"):
+        fresh(conjunction_lifting=True)
+    with pytest.raises(DeclarationError, match="requires conjunction_arguments"):
+        dataclasses.replace(
+            StructureOptions(conjunction_arguments=True, conjunction_lifting=True),
+            conjunction_arguments=False,
+        )
 
 
 def test_validate_warns_on_vacuous_support():
@@ -249,13 +255,17 @@ def test_validate_warns_on_presumption_relation_with_no_arguments():
     assert any("y" in w for w in report.warnings)
 
 
-def test_arguments_with_presumption_matches_semantically():
+def test_validate_matches_presumptions_semantically():
     s = fresh()
-    s.add_support(sentence("x"), c("A"), "p")
-    s.add_support(sentence("x & (y | !y)"), c("B"), "q")
+    s.add_support(sentence("x & (y | !y)"), c("A"), "p")
     s.add_support(sentence("y"), c("C"))
-    found = {a.id for a in s.arguments_with_presumption(sentence("x"))}
-    assert found == {"p", "q"}
+    s.declare_presumption_relation("strict", sentence("y"), sentence("x"))
+    s.declare_presumption_relation("leq", sentence("!!y"), sentence("x & y"))
+    report = s.validate()
+    assert report.ok
+    # `x` is written differently from p's presumption but has its models;
+    # only `x & y` is presumed by no argument.
+    assert report.warnings == ["relation #2: no argument presumes 'x & y'"]
 
 
 # -- fixture structure shape -------------------------------------------------
