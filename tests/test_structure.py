@@ -230,12 +230,22 @@ def test_option_problems():
     with pytest.raises(DeclarationError, match="must be positive"):
         StructureOptions(disjunction_closure_cap=0)
     with pytest.raises(DeclarationError, match="requires conjunction_arguments"):
-        fresh(conjunction_lifting=True)
-    with pytest.raises(DeclarationError, match="requires conjunction_arguments"):
         dataclasses.replace(
             StructureOptions(conjunction_arguments=True, conjunction_lifting=True),
             conjunction_arguments=False,
         )
+
+
+def test_validate_flags_option_problems():
+    """A structure with inconsistent options is refused before validate() runs;
+    the same structure with consistent options validates."""
+    with pytest.raises(DeclarationError, match="conjunction_lifting"):
+        fresh(conjunction_lifting=True)
+    s = fresh(conjunction_arguments=True, conjunction_lifting=True)
+    s.add_support(sentence("x"), c("A"))
+    report = s.validate()
+    assert report.ok
+    assert not any("conjunction_lifting" in e for e in report.errors)
 
 
 def test_validate_warns_on_vacuous_support():
