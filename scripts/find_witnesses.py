@@ -72,14 +72,6 @@ def random_given_pair(rng: random.Random, frame) -> tuple:
     return (narrower or wider), wider
 
 
-def formula_text(sentence: EvidenceSentence) -> str:
-    """A formula the declaration language reads back; it has no ``true``."""
-    if sentence.is_tautology():
-        atom = sentence.frame.atoms[0]
-        return f"{atom} | !{atom}"
-    return sentence.describe()
-
-
 def document_text(structure) -> str:
     lines = [
         f"structure {structure.name}",
@@ -88,7 +80,7 @@ def document_text(structure) -> str:
     ]
     for argument in structure.arguments:
         lines.append(
-            f"arg {argument.id}: {formula_text(argument.presumption)} "
+            f"arg {argument.id}: {argument.presumption.describe()} "
             f"=> {argument.conclusion.describe()}"
         )
     return "\n".join(lines)
@@ -140,7 +132,7 @@ def main() -> int:
                 print(document_text(structure))
                 print(
                     f"plausible({candidate.describe()}) holds given "
-                    f"{formula_text(wider)} but fails given {formula_text(narrower)}"
+                    f"{wider.describe()} but fails given {narrower.describe()}"
                 )
                 print()
 
@@ -160,8 +152,8 @@ def main() -> int:
                 print("-- non-cumulativity witness")
                 print(document_text(structure))
                 print(
-                    f"two steps ({formula_text(wider)} then "
-                    f"{formula_text(narrower)}) trigger "
+                    f"two steps ({wider.describe()} then "
+                    f"{narrower.describe()}) trigger "
                     f"{[a.id for a in survivors]}; one step triggers "
                     f"{[a.id for a in direct]}"
                 )

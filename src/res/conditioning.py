@@ -15,7 +15,7 @@ conjunction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import EvidenceError, UsageError
 from .order import OrderClosure
@@ -31,16 +31,6 @@ class ConditionedStructure:
     closure: OrderClosure
     given: EvidenceSentence
     triggered: tuple[Argument, ...]
-    _triggered_ids: frozenset[str] = field(default_factory=frozenset)
-
-    def is_triggered(self, arg_id: str) -> bool:
-        return self.structure.resolve_id(arg_id) in self._triggered_ids
-
-    def leq(self, lower: str, upper: str) -> bool:
-        """The restricted strength relation, defined on triggered arguments."""
-        if not (self.is_triggered(lower) and self.is_triggered(upper)):
-            return False
-        return self.closure.leq(lower, upper)
 
 
 def condition(
@@ -60,10 +50,4 @@ def condition(
         for argument in structure.arguments
         if given.implies(argument.presumption)
     )
-    return ConditionedStructure(
-        structure,
-        closure,
-        given,
-        triggered,
-        frozenset(argument.id for argument in triggered),
-    )
+    return ConditionedStructure(structure, closure, given, triggered)

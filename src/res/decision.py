@@ -5,10 +5,13 @@ it, where an argument supports a conclusion when its own conclusion implies
 it.  One conclusion is at most as believable as another when every argument
 for the first is matched by an at-least-as-strong argument for the second;
 a conclusion with no support at all sits below anything that has some.
-Everything else here (verdicts, plausibility, maximal candidates, diagrams,
-explanations) is bookkeeping over that one definition, and none of it ever
-invents an order where the arguments are silent: ties and incomparable
-pairs are reported, never broken.
+That definition is decided in one place, :func:`leq_conclusions`, and a
+pair of its answers becomes a verdict through one table.  Everything else
+here (verdicts, plausibility, maximal candidates, diagrams, explanations) is
+bookkeeping over it: ``explain`` takes both directions from it as well, and
+the matches it lists are for display only.  None of it ever invents an
+order where the arguments are silent: ties and incomparable pairs are
+reported, never broken.
 """
 
 from __future__ import annotations
@@ -66,20 +69,24 @@ def leq_conclusions(
     )
 
 
+# The verdict for (first <= second, second <= first).
+_VERDICTS = {
+    (True, True): ComparisonVerdict.EQUAL,
+    (True, False): ComparisonVerdict.STRICTLY_LESS,
+    (False, True): ComparisonVerdict.STRICTLY_GREATER,
+    (False, False): ComparisonVerdict.INCOMPARABLE,
+}
+
+
 def compare(
     conditioned: ConditionedStructure,
     first: ConclusionSentence,
     second: ConclusionSentence,
 ) -> ComparisonVerdict:
-    forward = leq_conclusions(conditioned, first, second)
-    backward = leq_conclusions(conditioned, second, first)
-    if forward and backward:
-        return ComparisonVerdict.EQUAL
-    if forward:
-        return ComparisonVerdict.STRICTLY_LESS
-    if backward:
-        return ComparisonVerdict.STRICTLY_GREATER
-    return ComparisonVerdict.INCOMPARABLE
+    return _VERDICTS[
+        leq_conclusions(conditioned, first, second),
+        leq_conclusions(conditioned, second, first),
+    ]
 
 
 def is_plausible(conditioned: ConditionedStructure, p: ConclusionSentence) -> bool:
@@ -96,15 +103,18 @@ def is_plausible(conditioned: ConditionedStructure, p: ConclusionSentence) -> bo
 class RankResult:
     """Pairwise verdicts over a candidate list, with nothing invented.
 
-    ``maximal`` holds the candidates no other candidate strictly beats.
-    ``strata`` peels maximal layers off repeatedly; it is a presentation
-    aid, the ``matrix`` is the authority.
+    ``strata`` peels maximal layers off repeatedly; its first layer,
+    ``maximal``, holds the candidates no other candidate strictly beats.
+    The strata are a presentation aid, the ``matrix`` is the authority.
     """
 
     candidates: tuple[ConclusionSentence, ...]
     matrix: tuple[tuple[ComparisonVerdict, ...], ...]
-    maximal: tuple[ConclusionSentence, ...]
     strata: tuple[tuple[ConclusionSentence, ...], ...]
+
+    @property
+    def maximal(self) -> tuple[ConclusionSentence, ...]:
+        return self.strata[0]
 
 
 def rank(
@@ -114,26 +124,21 @@ def rank(
         raise UsageError("rank needs at least one candidate")
     for candidate in candidates:
         _check_conclusion(conditioned, candidate)
-    order = [list(row) for row in _verdict_matrix(conditioned, candidates)]
-    indices = list(range(len(candidates)))
+    order = _verdict_matrix(conditioned, candidates)
 
     def beaten(i: int, pool: list[int]) -> bool:
         return any(
             order[i][j] is ComparisonVerdict.STRICTLY_LESS for j in pool if j != i
         )
 
-    maximal = [i for i in indices if not beaten(i, indices)]
     strata: list[tuple[ConclusionSentence, ...]] = []
-    remaining = indices
+    remaining = list(range(len(candidates)))
     while remaining:
         layer = [i for i in remaining if not beaten(i, remaining)]
         strata.append(tuple(candidates[i] for i in layer))
         remaining = [i for i in remaining if i not in layer]
     return RankResult(
-        tuple(candidates),
-        tuple(tuple(row) for row in order),
-        tuple(candidates[i] for i in maximal),
-        tuple(strata),
+        tuple(candidates), tuple(tuple(row) for row in order), tuple(strata)
     )
 
 
@@ -211,18 +216,25 @@ class SupportMatch:
 class DirectionTrace:
     """Evidence for or against ``source <= target``.
 
-    With supports on the source side, ``holds`` means every one of them is
-    matched; ``unmatched`` lists the holdouts.  With none, the direction
+    ``holds`` is :func:`leq_conclusions`; the matches only show why.  With
+    supports on the source side, each one is shown beside a rival at or
+    above it, or none (it is then ``unmatched``).  With none, the direction
     rests solely on whether the target is supported at all.
     """
 
     source: ConclusionSentence
     target: ConclusionSentence
-    source_supported: bool
     holds: bool
     matches: tuple[SupportMatch, ...]
-    unmatched: tuple[str, ...]
     target_supports: tuple[str, ...]
+
+    @property
+    def source_supported(self) -> bool:
+        return bool(self.matches)
+
+    @property
+    def unmatched(self) -> tuple[str, ...]:
+        return tuple(m.support for m in self.matches if m.matched_by is None)
 
 
 @dataclass(frozen=True)
@@ -242,57 +254,23 @@ def explain(
     """The comparison verdict together with enough detail to recheck it."""
     forward = _trace_direction(conditioned, left, right)
     backward = _trace_direction(conditioned, right, left)
-    if forward.holds and backward.holds:
-        verdict = ComparisonVerdict.EQUAL
-    elif forward.holds:
-        verdict = ComparisonVerdict.STRICTLY_LESS
-    elif backward.holds:
-        verdict = ComparisonVerdict.STRICTLY_GREATER
-    else:
-        verdict = ComparisonVerdict.INCOMPARABLE
+    verdict = _VERDICTS[forward.holds, backward.holds]
     return ExplanationTrace(left, right, verdict, forward, backward)
 
 
 def _trace_direction(conditioned, source, target) -> DirectionTrace:
-    base = supports_of(conditioned, source)
-    rivals = supports_of(conditioned, target)
-    rival_ids = tuple(b.id for b in rivals)
-    if not base:
-        return DirectionTrace(
-            source, target, False, bool(rivals), (), (), rival_ids
-        )
+    rival_ids = tuple(b.id for b in supports_of(conditioned, target))
     closure = conditioned.closure
     matches = []
-    unmatched = []
-    for argument in base:
-        chosen = None
-        if any(b.id == argument.id for b in rivals):
+    for argument in supports_of(conditioned, source):
+        if argument.id in rival_ids:
             chosen = argument.id  # an argument always matches itself
         else:
-            for rival in rivals:
-                if closure.leq(argument.id, rival.id):
-                    chosen = rival.id
-                    break
-        if chosen is None:
-            unmatched.append(argument.id)
-            matches.append(SupportMatch(argument.id, None))
-        else:
-            matches.append(
-                SupportMatch(
-                    argument.id,
-                    chosen,
-                    tuple(closure.provenance_chain(argument.id, chosen)),
-                )
-            )
-    return DirectionTrace(
-        source,
-        target,
-        True,
-        not unmatched,
-        tuple(matches),
-        tuple(unmatched),
-        rival_ids,
-    )
+            chosen = next((b for b in rival_ids if closure.leq(argument.id, b)), None)
+        chain = () if chosen is None else closure.provenance_chain(argument.id, chosen)
+        matches.append(SupportMatch(argument.id, chosen, tuple(chain)))
+    holds = leq_conclusions(conditioned, source, target)
+    return DirectionTrace(source, target, holds, tuple(matches), rival_ids)
 
 
 def candidate_sentences(frame: ConclusionFrame, mode: str) -> list[ConclusionSentence]:

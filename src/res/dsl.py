@@ -35,9 +35,6 @@ from .semantics import (
 )
 from .structure import (
     EvidenceStructure,
-    KIND_EQUAL,
-    KIND_LEQ,
-    KIND_STRICT,
     KIND_SYMBOLS,
     LEVEL_ARGUMENT,
     LEVEL_PRESUMPTION,
@@ -49,6 +46,8 @@ from .structure import (
 )
 
 _ARG_HEAD = re.compile(rf"arg(?:\s+({IDENTIFIER.pattern}))?\s*:\s*")
+# Longest symbol first, so that "<=" is not read as "<".
+_REL_SYMBOLS = sorted(KIND_SYMBOLS.items(), key=lambda item: -len(item[1]))
 
 
 @dataclass(frozen=True)
@@ -373,14 +372,13 @@ class _DocumentParser:
         rest, rest_col = stripped[m.end() :], indent + m.end()
         left, after = self._parse_rel_term(document, number, rest, rest_col, 0)
         after_ws = _skip_spaces(rest, after)
-        for symbol in ("<=", "<", "~"):
+        for kind, symbol in _REL_SYMBOLS:
             if rest.startswith(symbol, after_ws):
                 break
         else:
             raise FormulaError(
                 "expected '<', '<=' or '~'", number, rest_col + after_ws
             )
-        kind = {"<=": KIND_LEQ, "<": KIND_STRICT, "~": KIND_EQUAL}[symbol]
         right_start = after_ws + len(symbol)
         right, end = self._parse_rel_term(document, number, rest, rest_col, right_start)
         if rest[end:].strip():

@@ -95,14 +95,6 @@ class EvidenceSentence:
         self._check(other)
         return self.models & ~other.models == 0
 
-    def strictly_implies(self, other: "EvidenceSentence") -> bool:
-        self._check(other)
-        return self.models != other.models and self.models & ~other.models == 0
-
-    def equivalent(self, other: "EvidenceSentence") -> bool:
-        self._check(other)
-        return self.models == other.models
-
     def is_satisfiable(self) -> bool:
         return self.models != 0
 
@@ -131,13 +123,21 @@ class EvidenceSentence:
         )
 
     def describe(self) -> str:
-        """A printable form: the source text when known, otherwise a summary."""
+        """The source text when known, otherwise a formula over the frame.
+
+        The grammar has no constants, so a contradiction is written
+        ``a & !a`` and a tautology ``a | !a``, with ``a`` the first atom.
+        Every form reads back through :func:`build_sentence` except the
+        ``<k/n valuations>`` summary for frames over 6 atoms, which is
+        for display only.
+        """
         if self.text is not None:
             return self.text
+        first = self.frame.atoms[0]
         if self.models == 0:
-            return "false"
+            return f"{first} & !{first}"
         if self.is_tautology():
-            return "true"
+            return f"{first} | !{first}"
         if self.frame.size <= 6:
             return self._as_minterms()
         count = bin(self.models).count("1")

@@ -7,11 +7,14 @@ import random
 import pytest
 
 from res import (
+    ComparisonVerdict,
     EvidenceError,
     UsageError,
     build_closure,
     build_sentence,
+    compare,
     condition,
+    conclusion_of,
 )
 
 import oracle
@@ -49,18 +52,18 @@ def test_conditioned_structure_api(example1):
     structure, closure = example1
     given = build_sentence(structure.evidence_frame, "e1 & e2")
     conditioned = condition(structure, closure, given)
-    assert conditioned.is_triggered("t1a")
-    assert not conditioned.is_triggered("t2")
-    assert conditioned.leq("t1a", "t1b")
-    # t2 is not triggered, so no relation involving it is visible.
-    assert not conditioned.leq("t2", "t1a")
-    assert not conditioned.leq("t1a", "t2")
+    # The view holds what it was built from and the triggered arguments;
+    # t2 is not triggered, so it takes no part in any comparison.
+    assert conditioned.structure is structure
+    assert conditioned.closure is closure
+    assert conditioned.given == given
+    assert [a.id for a in conditioned.triggered] == ["t1a", "t1b", "a1", "a2"]
 
 
 def test_relation_chains_may_pass_through_untriggered_arguments():
     # a <= u <= b is declared, and the observation triggers a and b only;
-    # the restricted relation still contains a <= b because the closure is
-    # computed on the full structure first.
+    # {A} (supported by a) still sits strictly below {C} (supported by b)
+    # because the closure is computed on the full structure first.
     recipe = Recipe(
         atoms=("x", "y"),
         alternatives=("A", "B", "C"),
@@ -78,8 +81,10 @@ def test_relation_chains_may_pass_through_untriggered_arguments():
         structure, closure, build_sentence(structure.evidence_frame, "x & !y")
     )
     assert [arg.id for arg in conditioned.triggered] == [a, b]
-    assert conditioned.leq(a, b)
-    assert not conditioned.leq(b, a)
+    frame = structure.conclusion_frame
+    lower, upper = conclusion_of(frame, ["A"]), conclusion_of(frame, ["C"])
+    verdict = compare(conditioned, lower, upper)
+    assert verdict is ComparisonVerdict.STRICTLY_LESS
 
 
 def test_monotone_triggering_seeded_batch():
@@ -116,11 +121,8 @@ def test_triggering_matches_oracle():
             closure,
             EvidenceSentence(structure.evidence_frame, given_mask),
         )
-        engine_indices = [
-            i
-            for i, a in enumerate(structure.arguments)
-            if conditioned.is_triggered(a.id)
-        ]
+        position = {a.id: i for i, a in enumerate(structure.arguments)}
+        engine_indices = [position[a.id] for a in conditioned.triggered]
         assert engine_indices == oracle.triggered(model, given_mask)
 
 

@@ -386,6 +386,29 @@ def test_explanations_agree_with_compare():
                 assert direction.holds == bool(direction.target_supports)
 
 
+def test_every_verdict_comes_from_the_one_kernel(example1, monkeypatch):
+    # Flip {Al2} <= {Al3} only; compare and explain must both follow it.
+    # rank is left out: a flipped kernel can make the strict order cyclic.
+    from res import decision
+
+    structure, closure = example1
+    neither = observe(structure, closure, "!e1 & !e2")
+    al2, al3 = concl(structure, "{Al2}"), concl(structure, "{Al3}")
+    assert compare(neither, al2, al3) is NC
+    kernel = decision.leq_conclusions
+
+    def flipped(conditioned, first, second):
+        answer = kernel(conditioned, first, second)
+        return not answer if (first, second) == (al2, al3) else answer
+
+    monkeypatch.setattr(decision, "leq_conclusions", flipped)
+    assert compare(neither, al2, al3) is LT
+    trace = explain(neither, al2, al3)
+    assert trace.verdict is LT
+    assert trace.forward.holds
+    assert not trace.backward.holds
+
+
 # ---------------------------------------------------------------------------
 # Candidate generation and input checking.
 # ---------------------------------------------------------------------------

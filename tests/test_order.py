@@ -67,10 +67,10 @@ def assert_closure_laws(structure, closure):
         for upper in args:
             if lower.id == upper.id:
                 continue
-            same = lower.presumption.equivalent(upper.presumption)
+            same = lower.presumption.models == upper.presumption.models
             if same and lower.conclusion.implies(upper.conclusion):
                 assert closure.leq(lower.id, upper.id)
-            if upper.presumption.strictly_implies(lower.presumption):
+            if upper.presumption.implies(lower.presumption) and not same:
                 assert closure.leq(lower.id, upper.id)
     for declaration in structure.declarations:
         if declaration.level != "argument":
