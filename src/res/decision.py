@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .conditioning import ConditionedStructure
-from .errors import UsageError
+from .errors import ResError, UsageError
 from .order import ChainStep
 from .semantics import ConclusionFrame, ConclusionSentence
 from .structure import Argument
@@ -135,6 +135,8 @@ def rank(
     remaining = list(range(len(candidates)))
     while remaining:
         layer = [i for i in remaining if not beaten(i, remaining)]
+        if not layer:  # only a faulty kernel can make the strict order cyclic
+            raise ResError("the strict order over the candidates is cyclic")
         strata.append(tuple(candidates[i] for i in layer))
         remaining = [i for i in remaining if i not in layer]
     return RankResult(

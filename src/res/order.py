@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .errors import DeclarationError, UsageError
+from .errors import UsageError
 from .structure import (
     EvidenceStructure,
     KIND_EQUAL,
@@ -71,28 +71,22 @@ class OrderClosure:
     ):
         self.structure = structure
         self.ids = tuple(a.id for a in structure.arguments)
-        self._index = {arg_id: i for i, arg_id in enumerate(self.ids)}
         self._seeds = seeds
         # One seed graph serves both the rows and the chains' tie-break.
         self._successors = _successors(seeds, len(self.ids))
         self._rows = _reach(self._successors)
 
-    def _at(self, arg_id: str) -> int:
-        try:
-            return self._index[self.structure.resolve_id(arg_id)]
-        except KeyError:
-            raise UsageError(f"unknown argument id {arg_id!r}") from None
-
     def leq(self, lower: str, upper: str) -> bool:
         """Is *lower* at most as strong as *upper*?"""
-        return bool(self._rows[self._at(lower)] >> self._at(upper) & 1)
+        position = self.structure.position
+        return bool(self._rows[position(lower)] >> position(upper) & 1)
 
     def provenance_chain(self, lower: str, upper: str) -> list[ChainStep]:
         """A shortest seed-by-seed derivation of ``lower <= upper``.
 
         Empty for a reflexive pair; raises if the relation does not hold.
         """
-        start, goal = self._at(lower), self._at(upper)
+        start, goal = self.structure.position(lower), self.structure.position(upper)
         if not self._rows[start] >> goal & 1:
             raise UsageError(f"{lower!r} is not at most {upper!r}; no chain exists")
         if start == goal:
@@ -147,38 +141,25 @@ def _successors(pairs, count: int) -> list[list[int]]:
     return successors
 
 
-def _groups(structure: EvidenceStructure) -> dict[int, list[int]]:
-    """Argument positions grouped by presumption models, in stable order."""
-    groups: dict[int, list[int]] = {}
-    for i, argument in enumerate(structure.arguments):
-        groups.setdefault(argument.presumption.models, []).append(i)
-    return groups
-
-
-def _declared_pairs(declaration, index, groups) -> list[tuple[int, int]]:
+def _declared_pairs(declaration, structure) -> list[tuple[int, int]]:
     """The (lower, upper) argument positions one declaration relates."""
     if declaration.level == LEVEL_ARGUMENT:
-        return [(index[declaration.left], index[declaration.right])]
+        position = structure.position
+        return [(position(declaration.left), position(declaration.right))]
+    groups = structure.presumption_groups
     lows = groups.get(declaration.left.models, [])
     highs = groups.get(declaration.right.models, [])
     return [(i, j) for i in lows for j in highs]
 
 
 def build_closure(structure: EvidenceStructure) -> OrderClosure:
-    """Seed and close the strength relation for a validated structure.
+    """Seed and close the strength relation of a structure whose pool is final.
 
-    The structure is frozen from here on: a closure would silently go
-    stale if arguments or declarations could still be added.
+    This makes the structure's declarations final too: a closure would
+    silently go stale if one could still be added.
     """
-    report = structure.validate()
-    if not report.ok:
-        raise DeclarationError(
-            "structure has declaration errors: " + "; ".join(report.errors)
-        )
-    structure.frozen = True
+    declarations = structure.seal_declarations()
     arguments = structure.arguments
-    index = {a.id: i for i, a in enumerate(arguments)}
-    groups = _groups(structure)
     # One reason per pair, the first recorded; chains only ever show that.
     seeds: dict[tuple[int, int], SeedReason] = {}
 
@@ -186,14 +167,15 @@ def build_closure(structure: EvidenceStructure) -> OrderClosure:
         if (i, j) not in seeds:
             seeds[(i, j)] = SeedReason(kind, detail)
 
-    for declaration in structure.declarations:
+    for declaration in declarations:
         detail = f"#{declaration.ordinal} {declaration.describe()}"
-        for (i, j) in _declared_pairs(declaration, index, groups):
+        for (i, j) in _declared_pairs(declaration, structure):
             seed(i, j, SEED_DECLARATION, detail)
             if declaration.kind == KIND_EQUAL:
                 seed(j, i, SEED_DECLARATION, detail)
 
-    # validate() has checked every frame, so raw masks compare directly.
+    # add_support has checked every frame, so raw masks compare directly.
+    groups = structure.presumption_groups
     same_presumption_equal = structure.options.same_presumption_equal
     for members in groups.values():
         for i in members:
@@ -308,11 +290,10 @@ def check_consistency(
         raise UsageError("closure was built for a different structure")
     report = ConsistencyReport()
     ids, rows = closure.ids, closure._rows
-    index, groups = closure._index, _groups(structure)
     for declaration in structure.declarations:
         if declaration.kind == KIND_LEQ:
             continue
-        for (low, high) in _declared_pairs(declaration, index, groups):
+        for (low, high) in _declared_pairs(declaration, structure):
             up, down = rows[low] >> high & 1, rows[high] >> low & 1
             if declaration.kind == KIND_STRICT and down:
                 counter = (ids[high], ids[low])

@@ -41,6 +41,9 @@ LEVEL_PRESUMPTION = "presumption"
 
 KIND_SYMBOLS = {KIND_LEQ: "<=", KIND_STRICT: "<", KIND_EQUAL: "~"}
 
+_POOL_SEALED = "its arguments are final once run_generation_passes() has run"
+_DECLARATIONS_SEALED = "its declarations are final once a closure is built from it"
+
 
 @dataclass(frozen=True)
 class Argument:
@@ -139,13 +142,14 @@ class ValidationReport:
 
 
 class EvidenceStructure:
-    """A mutable pool of arguments and declarations over a pair of frames.
+    """A pool of arguments and declarations over a pair of frames, built in stages.
 
-    Build it up with :meth:`add_support`, :meth:`add_refutation` and the
-    ``declare_*`` methods, run the generation passes the options ask for,
-    then :meth:`validate` and hand it to :func:`res.order.build_closure`.
-    That call freezes the structure: adding an argument or a declaration
-    afterwards raises :class:`UsageError`, since the closure would go stale.
+    Add arguments (:meth:`add_support`, :meth:`add_refutation`), then call
+    :meth:`run_generation_passes` once, which makes the pool final.  Declare
+    relations (``declare_*``) until :func:`res.order.build_closure` makes
+    them final too, so a closure never goes stale.  Each argument and
+    declaration is checked when it is added; the frames and options are
+    read-only.
     """
 
     def __init__(
@@ -155,34 +159,62 @@ class EvidenceStructure:
         options: StructureOptions | None = None,
         name: str = "structure",
     ):
-        self.evidence_frame = evidence_frame
-        self.conclusion_frame = conclusion_frame
-        self.options = options or StructureOptions()
+        self._evidence_frame = evidence_frame
+        self._conclusion_frame = conclusion_frame
+        self._options = options or StructureOptions()
         self.name = name
-        self.arguments: list[Argument] = []
-        self.declarations: list[RelationDeclaration] = []
+        # Each stage ends by turning its list into a tuple.
+        self._arguments: list | tuple = []
+        self._declarations: list | tuple = []
         self.disjunction_capped = False
-        self.frozen = False  # set by build_closure
+        #: Argument positions by presumption models; set when the pool is sealed.
+        self.presumption_groups: dict[int, list[int]] | None = None
         self._position: dict[tuple[int, int], int] = {}
-        self._by_id: dict[str, int] = {}
-        self._aliases: dict[str, str] = {}
+        self._by_id: dict[str, int] = {}  # ids and merged-away labels
         self._auto = 0
+
+    @property
+    def evidence_frame(self) -> EvidenceFrame:
+        return self._evidence_frame
+
+    @property
+    def conclusion_frame(self) -> ConclusionFrame:
+        return self._conclusion_frame
+
+    @property
+    def options(self) -> StructureOptions:
+        return self._options
+
+    @property
+    def arguments(self) -> tuple[Argument, ...]:
+        return tuple(self._arguments)
+
+    @property
+    def declarations(self) -> tuple[RelationDeclaration, ...]:
+        return tuple(self._declarations)
 
     # -- building -----------------------------------------------------------
 
-    def _check_open(self) -> None:
-        if self.frozen:
+    def _open(self, part: list | tuple, sealed_by: str) -> list:
+        """*part* itself while its stage is open; raises once it is sealed."""
+        if isinstance(part, tuple):
             raise UsageError(
-                f"structure {self.name!r} is frozen because a closure was built "
-                "from it; build a new structure instead"
+                f"structure {self.name!r} is frozen: {sealed_by}; "
+                "build a new structure instead"
             )
+        return part
 
     def _fresh_id(self) -> str:
         while True:
             self._auto += 1
             candidate = f"a{self._auto}"
-            if candidate not in self._by_id and candidate not in self._aliases:
+            if candidate not in self._by_id:
                 return candidate
+
+    def _claim(self, label: str, at: int) -> None:
+        if label in self._by_id:
+            raise DeclarationError(f"duplicate argument label {label!r}")
+        self._by_id[label] = at
 
     def _check_sentences(self, presumption: EvidenceSentence, conclusion: ConclusionSentence):
         if presumption.frame != self.evidence_frame:
@@ -199,7 +231,7 @@ class EvidenceStructure:
         parents: tuple[tuple[EvidenceSentence, EvidenceSentence], ...] = (),
     ) -> str:
         """Add one argument; returns its id (an existing id on a merge)."""
-        self._check_open()
+        pool = self._open(self._arguments, _POOL_SEALED)
         self._check_sentences(presumption, conclusion)
         if not presumption.is_satisfiable():
             raise DeclarationError(
@@ -210,29 +242,20 @@ class EvidenceStructure:
         key = (presumption.models, conclusion.members)
         at = self._position.get(key)
         if at is not None:
-            existing = self.arguments[at]
+            existing = pool[at]
+            if label is not None and label != existing.id:
+                self._claim(label, at)
             origins = existing.origins
             if origin not in origins:
                 origins = origins + (origin,)
-            merged = replace(
+            pool[at] = replace(
                 existing, origins=origins, parents=existing.parents + parents
             )
-            self.arguments[at] = merged
-            if label is not None and label != existing.id:
-                if label in self._by_id or label in self._aliases:
-                    raise DeclarationError(f"duplicate argument label {label!r}")
-                self._aliases[label] = existing.id
             return existing.id
-        if label is not None:
-            if label in self._by_id or label in self._aliases:
-                raise DeclarationError(f"duplicate argument label {label!r}")
-            arg_id = label
-        else:
-            arg_id = self._fresh_id()
-        argument = Argument(arg_id, presumption, conclusion, (origin,), parents)
-        self._position[key] = len(self.arguments)
-        self._by_id[arg_id] = len(self.arguments)
-        self.arguments.append(argument)
+        arg_id = self._fresh_id() if label is None else label
+        self._claim(arg_id, len(pool))
+        self._position[key] = len(pool)
+        pool.append(Argument(arg_id, presumption, conclusion, (origin,), parents))
         return arg_id
 
     def add_refutation(
@@ -263,35 +286,34 @@ class EvidenceStructure:
             for target in targets
         ]
 
-    def resolve_id(self, arg_id: str) -> str:
-        """Map a label through merge aliases to the canonical argument id."""
-        return self._aliases.get(arg_id, arg_id)
+    def position(self, arg_id: str) -> int:
+        """Where the argument with this id (or merged-away label) sits in the pool."""
+        try:
+            return self._by_id[arg_id]
+        except KeyError:
+            raise UsageError(f"unknown argument id {arg_id!r}") from None
 
     def argument(self, arg_id: str) -> Argument:
-        at = self._by_id.get(self.resolve_id(arg_id))
-        if at is None:
-            raise UsageError(f"unknown argument id {arg_id!r}")
-        return self.arguments[at]
+        return self._arguments[self.position(arg_id)]
 
     def declare_argument_relation(self, kind: str, left: str, right: str) -> None:
-        self._check_open()
-        if kind not in (KIND_LEQ, KIND_STRICT, KIND_EQUAL):
+        declarations = self._open(self._declarations, _DECLARATIONS_SEALED)
+        if kind not in KIND_SYMBOLS:
             raise DeclarationError(f"unknown relation kind {kind!r}")
-        left, right = self.resolve_id(left), self.resolve_id(right)
-        for arg_id in (left, right):
-            if arg_id not in self._by_id:
-                raise DeclarationError(f"relation references unknown argument {arg_id!r}")
-        self.declarations.append(
-            RelationDeclaration(
-                LEVEL_ARGUMENT, kind, left, right, len(self.declarations) + 1
-            )
+        ids = []
+        for label in (left, right):
+            if label not in self._by_id:
+                raise DeclarationError(f"relation references unknown argument {label!r}")
+            ids.append(self.argument(label).id)
+        declarations.append(
+            RelationDeclaration(LEVEL_ARGUMENT, kind, *ids, len(declarations) + 1)
         )
 
     def declare_presumption_relation(
         self, kind: str, left: EvidenceSentence, right: EvidenceSentence
     ) -> None:
-        self._check_open()
-        if kind not in (KIND_LEQ, KIND_STRICT, KIND_EQUAL):
+        declarations = self._open(self._declarations, _DECLARATIONS_SEALED)
+        if kind not in KIND_SYMBOLS:
             raise DeclarationError(f"unknown relation kind {kind!r}")
         for sentence in (left, right):
             if sentence.frame != self.evidence_frame:
@@ -300,123 +322,116 @@ class EvidenceStructure:
                 raise DeclarationError(
                     f"relation references unsatisfiable presumption {sentence.describe()!r}"
                 )
-        self.declarations.append(
+        declarations.append(
             RelationDeclaration(
-                LEVEL_PRESUMPTION, kind, left, right, len(self.declarations) + 1
+                LEVEL_PRESUMPTION, kind, left, right, len(declarations) + 1
             )
         )
 
+    def seal_declarations(self) -> tuple[RelationDeclaration, ...]:
+        """Make the declarations final and return them (:func:`build_closure` does)."""
+        if self.presumption_groups is None:
+            raise UsageError(
+                f"structure {self.name!r}: call run_generation_passes() before "
+                "building a closure"
+            )
+        self._declarations = tuple(self._declarations)
+        return self._declarations
+
     # -- generation passes --------------------------------------------------
 
-    def generate_conjunction_arguments(self) -> list[str]:
-        """Single pass of the conjunction rule over the declared base.
+    def run_generation_passes(self) -> None:
+        """Apply, in order, every generation pass the options enable.
+
+        Runs once, then seals the pool, so the disjunction cap budgets the
+        whole structure; a second run raises :class:`UsageError`.
+        """
+        pool = self._open(self._arguments, _POOL_SEALED)
+        if self._options.conjunction_arguments:
+            self._conjoin(pool)
+        if self._options.disjunction_closure:
+            self._disjoin(pool)
+        groups: dict[int, list[int]] = {}
+        for i, argument in enumerate(pool):
+            groups.setdefault(argument.presumption.models, []).append(i)
+        self.presumption_groups = groups
+        self._arguments = tuple(pool)
+
+    def _conjoin(self, pool: list[Argument]) -> None:
+        """One pass of the conjunction rule over the declared base.
 
         Two base arguments for one conclusion conjoin into an argument whose
-        presumption is the conjunction, provided that is satisfiable.  A
-        no-op when the option is off.
+        presumption is the conjunction, provided that is satisfiable.
         """
-        if not self.options.conjunction_arguments:
-            return []
-        base = [a for a in self.arguments if set(a.origins) & BASE_ORIGINS]
-        added: list[str] = []
-        before = {a.id for a in self.arguments}
+        base = [a for a in pool if set(a.origins) & BASE_ORIGINS]
         for i, first in enumerate(base):
             for second in base[i + 1 :]:
                 if first.conclusion.members != second.conclusion.members:
                     continue
                 joint = first.presumption & second.presumption
-                if not joint.is_satisfiable():
-                    continue
-                arg_id = self.add_support(
-                    joint,
-                    first.conclusion,
-                    origin=ORIGIN_CONJUNCTION,
-                    parents=((first.presumption, second.presumption),),
-                )
-                if arg_id not in before:
-                    before.add(arg_id)
-                    added.append(arg_id)
-        return added
+                if joint.is_satisfiable():
+                    self.add_support(
+                        joint,
+                        first.conclusion,
+                        origin=ORIGIN_CONJUNCTION,
+                        parents=((first.presumption, second.presumption),),
+                    )
 
-    def apply_disjunction_closure(self) -> list[str]:
+    def _disjoin(self, pool: list[Argument]) -> None:
         """Iterate pairwise disjunction to a fixpoint (or the cap).
 
         Every pair of arguments spawns one with the disjoined presumptions
         and the union of the conclusions; rounds repeat until nothing new
         appears.  Hitting the cap sets :attr:`disjunction_capped`.
         """
-        if not self.options.disjunction_closure:
-            return []
-        cap = self.options.disjunction_closure_cap
-        added: list[str] = []
-        while True:
-            count = len(self.arguments)
+        budget = self._options.disjunction_closure_cap
+        grew = True
+        while grew:
             grew = False
+            count = len(pool)
             for i in range(count):
                 for j in range(i + 1, count):
-                    first, second = self.arguments[i], self.arguments[j]
-                    presumption = first.presumption | second.presumption
-                    conclusion = first.conclusion | second.conclusion
-                    known = (presumption.models, conclusion.members) in self._position
-                    arg_id = self.add_support(
-                        presumption, conclusion, origin=ORIGIN_DISJUNCTION
+                    first, second = pool[i], pool[j]
+                    size = len(pool)
+                    self.add_support(
+                        first.presumption | second.presumption,
+                        first.conclusion | second.conclusion,
+                        origin=ORIGIN_DISJUNCTION,
                     )
-                    if not known:
-                        added.append(arg_id)
+                    if len(pool) > size:
                         grew = True
-                        if len(added) >= cap:
+                        budget -= 1
+                        if not budget:
                             self.disjunction_capped = True
-                            return added
-            if not grew:
-                return added
-
-    def run_generation_passes(self) -> None:
-        """Apply, in order, every generation pass the options enable."""
-        self.generate_conjunction_arguments()
-        self.apply_disjunction_closure()
+                            return
 
     # -- validation ---------------------------------------------------------
 
     def validate(self) -> ValidationReport:
-        """Check well-formedness; a structure with errors must not be closed."""
+        """Warn about what is legal but likely unintended.
+
+        Every argument and declaration was checked when it was added, so
+        ``errors`` stays empty.
+        """
         report = ValidationReport()
-        presumed = {argument.presumption.models for argument in self.arguments}
-        for argument in self.arguments:
-            if argument.presumption.frame != self.evidence_frame:
-                report.errors.append(f"argument {argument.id}: foreign evidence frame")
-            elif not argument.presumption.is_satisfiable():
-                report.errors.append(
-                    f"argument {argument.id}: unsatisfiable presumption"
-                )
-            if argument.conclusion.frame != self.conclusion_frame:
-                report.errors.append(f"argument {argument.id}: foreign conclusion frame")
-            elif argument.conclusion.is_empty():
-                report.errors.append(f"argument {argument.id}: empty conclusion")
-            elif argument.conclusion.is_full():
+        presumed = {argument.presumption.models for argument in self._arguments}
+        for argument in self._arguments:
+            if argument.conclusion.is_full():
                 report.warnings.append(
                     f"argument {argument.id} concludes every alternative (vacuous support)"
                 )
-        for declaration in self.declarations:
-            label = f"relation #{declaration.ordinal}"
-            if declaration.level == LEVEL_ARGUMENT:
-                for arg_id in (declaration.left, declaration.right):
-                    if arg_id not in self._by_id:
-                        report.errors.append(
-                            f"{label} references unknown argument {arg_id!r}"
-                        )
-            else:
-                for sentence in (declaration.left, declaration.right):
-                    if sentence.frame != self.evidence_frame:
-                        report.errors.append(f"{label}: foreign evidence frame")
-                    elif not sentence.is_satisfiable():
-                        report.errors.append(f"{label}: unsatisfiable presumption")
-                    elif sentence.models not in presumed:
-                        report.warnings.append(
-                            f"{label}: no argument presumes {sentence.describe()!r}"
-                        )
+        for declaration in self._declarations:
+            if declaration.level != LEVEL_PRESUMPTION:
+                continue
+            for sentence in (declaration.left, declaration.right):
+                if sentence.models not in presumed:
+                    report.warnings.append(
+                        f"relation #{declaration.ordinal}: no argument presumes "
+                        f"{sentence.describe()!r}"
+                    )
         if self.disjunction_capped:
             report.warnings.append(
                 "disjunction closure stopped at the cap "
-                f"({self.options.disjunction_closure_cap}); the pool is incomplete"
+                f"({self._options.disjunction_closure_cap}); the pool is incomplete"
             )
         return report

@@ -275,6 +275,25 @@ def assert_well_formed_dot(dot):
     return nodes, edges
 
 
+def test_validation_runs_once_for_check_and_never_for_queries(monkeypatch):
+    from res.structure import EvidenceStructure
+
+    calls = []
+    validate = EvidenceStructure.validate
+
+    def counted(structure):
+        calls.append(structure.name)
+        return validate(structure)
+
+    monkeypatch.setattr(EvidenceStructure, "validate", counted)
+    path = str(fixture_path("hominids.res"))
+    assert run_cli(["check", path])[0] == 0
+    assert calls == ["hominids"]
+    calls.clear()
+    assert run_cli(["rank", path, "--given", "e1"])[0] == 0
+    assert calls == []
+
+
 def test_random_documents_keep_outputs_well_formed(tmp_path):
     rng = random.Random(31415)
     for i in range(20):

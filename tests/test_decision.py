@@ -8,6 +8,7 @@ import pytest
 
 from res import (
     ComparisonVerdict,
+    ResError,
     UsageError,
     build_sentence,
     candidate_sentences,
@@ -407,6 +408,24 @@ def test_every_verdict_comes_from_the_one_kernel(example1, monkeypatch):
     assert trace.verdict is LT
     assert trace.forward.holds
     assert not trace.backward.holds
+
+
+def test_rank_refuses_a_cyclic_strict_order(example1, monkeypatch):
+    # A faulty kernel that puts {Al1} < {Al2} < {Al3} < {Al1} leaves no
+    # candidate unbeaten; rank must raise instead of looping forever.
+    from res import decision
+
+    structure, closure = example1
+    neither = observe(structure, closure, "!e1 & !e2")
+    singles = candidate_sentences(structure.conclusion_frame, "singletons")
+    pos = {c.members: i for i, c in enumerate(singles)}
+
+    def cyclic(conditioned, p, q):
+        return (pos[q.members] - pos[p.members]) % 3 in (0, 1)
+
+    monkeypatch.setattr(decision, "leq_conclusions", cyclic)
+    with pytest.raises(ResError, match="cyclic"):
+        rank(neither, singles)
 
 
 # ---------------------------------------------------------------------------

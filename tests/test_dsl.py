@@ -47,7 +47,7 @@ def test_example1_document_shape():
     assert kinds == ["ArgDecl", "ArgDecl", "ArgDecl", "RefuteDecl"]
     structure = document.to_structure()
     assert [a.id for a in structure.arguments] == ["t1a", "t1b", "t2", "a1", "a2"]
-    assert structure.declarations == []
+    assert structure.declarations == ()
 
 
 def test_hominids_document_shape():

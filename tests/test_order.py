@@ -9,6 +9,10 @@ import pytest
 from hypothesis import given, settings
 
 from res import (
+    ConclusionFrame,
+    EvidenceFrame,
+    EvidenceStructure,
+    StructureOptions,
     UsageError,
     build_closure,
     build_sentence,
@@ -267,7 +271,33 @@ def test_regrouped_seeding_matches_oracle(same_presumption_equal):
     assert empty == [("p", "p")]
 
 
-# -- a closure freezes its structure ------------------------------------------
+# -- a built structure cannot change ------------------------------------------
+
+
+def test_the_built_structure_cannot_be_changed():
+    structure = load_structure(fixture_text("example1.res"))
+    pool, options = structure.arguments, structure.options
+    evidence = build_sentence(structure.evidence_frame, "e1 & e2")
+    al3 = conclusion_of(structure.conclusion_frame, ["Al3"])
+    # The generation passes have run, so the pool is final ...
+    with pytest.raises(UsageError, match="frozen"):
+        structure.add_support(evidence, al3, "late")
+    with pytest.raises(AttributeError):
+        structure.arguments.append(pool[0])
+    with pytest.raises(AttributeError):
+        structure.arguments = pool + pool[:1]
+    # ... the frames and options are read-only, and the declared relations
+    # change only through the checked declare_* methods.
+    with pytest.raises(AttributeError):
+        structure.options = dataclasses.replace(options, same_presumption_equal=False)
+    with pytest.raises(AttributeError):
+        structure.evidence_frame = EvidenceFrame(("z", "w"))
+    with pytest.raises(AttributeError):
+        structure.declarations.append(None)
+    with pytest.raises(AttributeError):
+        structure.declarations = ()
+    assert structure.arguments is pool and structure.options is options
+    assert structure.declarations == ()
 
 
 def test_declaring_after_the_closure_raises():
@@ -281,14 +311,14 @@ def test_declaring_after_the_closure_raises():
             build_sentence(structure.evidence_frame, "e1"),
             build_sentence(structure.evidence_frame, "!e2"),
         )
-    assert structure.declarations == []
+    assert structure.declarations == ()
     assert not closure.leq("t1a", "t2")
 
 
 def test_adding_support_after_the_closure_raises():
     structure = load_structure(fixture_text("example1.res"))
     closure = build_closure(structure)
-    before = list(structure.arguments)
+    before = structure.arguments
     evidence = build_sentence(structure.evidence_frame, "e1 & e2")
     al3 = conclusion_of(structure.conclusion_frame, ["Al3"])
     with pytest.raises(UsageError, match="frozen"):
@@ -422,21 +452,19 @@ def test_lifting_seeds_show_up(hominids_lifting):
 
 
 def test_closure_rejects_invalid_structures():
-    from res import (
-        Argument,
-        ConclusionFrame,
-        DeclarationError,
-        EvidenceFrame,
-        EvidenceSentence,
-        EvidenceStructure,
-        conclusion_of,
+    # A pool whose generation passes have not run is unfinished: closing it
+    # would silently leave out the conjunction argument.
+    frame = EvidenceFrame(("x", "y"))
+    structure = EvidenceStructure(
+        frame, ConclusionFrame(("A", "B")), StructureOptions(conjunction_arguments=True)
     )
-
-    frame = EvidenceFrame(("x",))
-    structure = EvidenceStructure(frame, ConclusionFrame(("A", "B")))
     conclusion = conclusion_of(structure.conclusion_frame, ["A"])
-    structure.add_support(build_sentence(frame, "x"), conclusion)
-    # add_support refuses this argument, so it goes into the pool directly.
-    structure.arguments.append(Argument("bad", EvidenceSentence(frame, 0), conclusion))
-    with pytest.raises(DeclarationError, match="unsatisfiable presumption"):
+    structure.add_support(build_sentence(frame, "x"), conclusion, "p")
+    structure.add_support(build_sentence(frame, "y"), conclusion, "q")
+    with pytest.raises(UsageError, match=r"run_generation_passes\(\)"):
         build_closure(structure)
+    structure.declare_argument_relation("leq", "p", "q")  # still open
+    structure.run_generation_passes()
+    closure = build_closure(structure)
+    assert closure.ids == ("p", "q", "a1")
+    assert structure.argument("a1").origins == ("conjunction-rule",)

@@ -17,6 +17,8 @@ from res import (
     UsageError,
     build_sentence,
     conclusion_of,
+    fixture_text,
+    parse_document,
 )
 from res.structure import parse_option
 
@@ -54,7 +56,7 @@ def test_merge_records_alias_labels():
     s = fresh()
     s.add_support(sentence("x"), c("A"), "one")
     s.add_support(sentence("x"), c("A"), "two")
-    assert s.resolve_id("two") == "one"
+    assert s.position("two") == s.position("one") == 0
     assert s.argument("two") is s.argument("one")
     with pytest.raises(DeclarationError):
         s.add_support(sentence("y"), c("B"), "one")
@@ -127,12 +129,19 @@ def test_argument_relations_follow_aliases():
 # -- generation passes -------------------------------------------------------
 
 
+def generated(s: EvidenceStructure) -> list[str]:
+    """Run the generation passes; the ids of the arguments they added."""
+    count = len(s.arguments)
+    s.run_generation_passes()
+    return [a.id for a in s.arguments[count:]]
+
+
 def test_conjunction_pass_only_joins_equal_conclusions():
     s = fresh(conjunction_arguments=True)
     s.add_support(sentence("x"), c("A"), "p")
     s.add_support(sentence("y"), c("A"), "q")
     s.add_support(sentence("y"), c("B"), "r")
-    added = s.generate_conjunction_arguments()
+    added = generated(s)
     assert added == ["a1"]
     joined = s.argument("a1")
     assert joined.presumption.describe() == "x & y"
@@ -145,7 +154,7 @@ def test_conjunction_pass_skips_unsatisfiable_joins():
     s = fresh(conjunction_arguments=True)
     s.add_support(sentence("x"), c("A"))
     s.add_support(sentence("!x"), c("A"))
-    assert s.generate_conjunction_arguments() == []
+    assert generated(s) == []
 
 
 def test_conjunction_merge_adds_origin_and_parents_to_existing():
@@ -153,7 +162,7 @@ def test_conjunction_merge_adds_origin_and_parents_to_existing():
     s.add_support(sentence("x & y"), c("A"), "joint")
     s.add_support(sentence("x"), c("A"), "wide")
     s.add_support(sentence("y"), c("A"), "other")
-    added = s.generate_conjunction_arguments()
+    added = generated(s)
     # x & y already exists, so nothing new appears ...
     assert "joint" not in added
     # ... but the existing argument now carries the conjunction origin.
@@ -166,21 +175,26 @@ def test_conjunction_pass_is_off_by_default():
     s = fresh()
     s.add_support(sentence("x"), c("A"))
     s.add_support(sentence("y"), c("A"))
-    assert s.generate_conjunction_arguments() == []
+    assert generated(s) == []
 
 
 def test_disjunction_closure_reaches_a_fixpoint():
     s = fresh(disjunction_closure=True)
     s.add_support(sentence("x"), c("A"), "p")
     s.add_support(sentence("y"), c("B"), "q")
-    added = s.apply_disjunction_closure()
+    added = generated(s)
     assert len(added) == 1
     new = s.argument(added[0])
     assert new.presumption.models == sentence("x | y").models
     assert new.conclusion.names() == ("A", "B")
     assert not s.disjunction_capped
-    # Running again changes nothing: the pool is closed.
-    assert s.apply_disjunction_closure() == []
+    # The pool is closed: every pair's disjunction is already in it.
+    keys = {(a.presumption.models, a.conclusion.members) for a in s.arguments}
+    for first in s.arguments:
+        for second in s.arguments:
+            presumption = first.presumption | second.presumption
+            conclusion = first.conclusion | second.conclusion
+            assert (presumption.models, conclusion.members) in keys
 
 
 def test_disjunction_closure_cap():
@@ -188,7 +202,7 @@ def test_disjunction_closure_cap():
     s.add_support(sentence("x"), c("A"))
     s.add_support(sentence("y"), c("B"))
     s.add_support(sentence("x & y"), c("C"))
-    s.apply_disjunction_closure()
+    assert len(generated(s)) == 1
     assert s.disjunction_capped
     report = s.validate()
     assert report.ok
@@ -196,13 +210,28 @@ def test_disjunction_closure_cap():
 
 
 def test_generation_passes_are_idempotent():
+    # The passes run once: a second run raises and leaves the pool as it is.
     s = fresh(conjunction_arguments=True, disjunction_closure=True)
     s.add_support(sentence("x"), c("A"))
     s.add_support(sentence("y"), c("A"))
     s.run_generation_passes()
-    count = len(s.arguments)
-    s.run_generation_passes()
-    assert len(s.arguments) == count
+    pool = s.arguments
+    with pytest.raises(UsageError, match="frozen"):
+        s.run_generation_passes()
+    assert s.arguments == pool
+
+
+def test_the_disjunction_cap_budgets_the_whole_structure():
+    document = parse_document(fixture_text("example1.res"))
+    document.options = dataclasses.replace(
+        document.options, disjunction_closure=True, disjunction_closure_cap=4
+    )
+    s = document.to_structure()
+    assert len(s.arguments) == 9
+    assert s.disjunction_capped
+    with pytest.raises(UsageError, match="frozen"):
+        s.run_generation_passes()
+    assert len(s.arguments) == 9
 
 
 # -- options and validation --------------------------------------------------
@@ -287,7 +316,7 @@ def test_example1_shape(example1):
     assert structure.arguments[3].conclusion.names() == ("Al2",)
     assert structure.arguments[4].conclusion.names() == ("Al3",)
     assert structure.arguments[3].origins == ("refutation-expansion",)
-    assert structure.declarations == []
+    assert structure.declarations == ()
 
 
 def test_hominids_shape(hominids):
