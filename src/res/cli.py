@@ -256,10 +256,7 @@ def main(argv: list[str] | None = None) -> int:
         for located in err.errors:
             print(f"{args.file}:{located}", file=sys.stderr)
         return 1
-    except ResError as err:
-        print(f"res: error: {err}", file=sys.stderr)
-        return 1
-    except OSError as err:
+    except (ResError, OSError) as err:
         print(f"res: error: {err}", file=sys.stderr)
         return 1
 

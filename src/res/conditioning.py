@@ -16,6 +16,7 @@ conjunction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import EvidenceError, UsageError
 from .order import OrderClosure
@@ -25,12 +26,57 @@ from .structure import Argument, EvidenceStructure
 
 @dataclass(frozen=True)
 class ConditionedStructure:
-    """A read-only view of a structure under one observation."""
+    """A read-only view of a structure under one observation.
+
+    The first query builds ``support_masks``; it takes no part in equality.
+    """
 
     structure: EvidenceStructure
     closure: OrderClosure
     given: EvidenceSentence
     triggered: tuple[Argument, ...]
+
+    @cached_property
+    def support_masks(self) -> "SupportMasks":
+        return SupportMasks(self)
+
+
+class SupportMasks:
+    """A view's triggered arguments as bits of their pool positions.
+
+    ``support(p)`` is S(p), the triggered arguments concluding a subset of
+    the members mask ``p``; ``dominated(q)`` is D(q), those at most as
+    strong as one of S(q) by the closure rows.  Both are cached per mask.
+    """
+
+    def __init__(self, view: ConditionedStructure):
+        rows, position = view.closure._rows, view.structure.position
+        at = [position(argument.id) for argument in view.triggered]
+        self.bits = [1 << i for i in at]
+        self._rows = [rows[i] for i in at]
+        self._by_conclusion: dict[int, int] = {}
+        for argument, bit in zip(view.triggered, self.bits):
+            members = argument.conclusion.members
+            self._by_conclusion[members] = self._by_conclusion.get(members, 0) | bit
+        self._support: dict[int, int] = {}
+        self._dominated: dict[int, int] = {}
+
+    def support(self, p: int) -> int:
+        mask = self._support.get(p)
+        if mask is None:  # the groups are disjoint, so their sum is their union
+            mask = self._support[p] = sum(
+                bits for members, bits in self._by_conclusion.items() if members & ~p == 0
+            )
+        return mask
+
+    def dominated(self, q: int) -> int:
+        mask = self._dominated.get(q)
+        if mask is None:
+            rivals = self.support(q)
+            mask = self._dominated[q] = sum(
+                bit for bit, row in zip(self.bits, self._rows) if row & rivals
+            )
+        return mask
 
 
 def condition(

@@ -12,6 +12,12 @@ bookkeeping over it: ``explain`` takes both directions from it as well, and
 the matches it lists are for display only.  None of it ever invents an
 order where the arguments are silent: ties and incomparable pairs are
 reported, never broken.
+
+The kernel decides on bit masks over pool positions, which a view builds on
+its first query and caches (``ConditionedStructure.support_masks``): S(p)
+holds the triggered supports of p, D(q) the triggered arguments at most as
+strong as one of S(q).  Then p <= q is ``S(p) & ~D(q) == 0``, or
+``S(q) != 0`` when S(p) is empty, with no closure lookup per support pair.
 """
 
 from __future__ import annotations
@@ -42,16 +48,19 @@ class ComparisonVerdict(enum.Enum):
 
 
 def _check_conclusion(conditioned: ConditionedStructure, p: ConclusionSentence):
-    if p.frame != conditioned.structure.conclusion_frame:
+    frame = conditioned.structure.conclusion_frame
+    if p.frame is not frame and p.frame != frame:
         raise UsageError("conclusion belongs to a different frame")
 
 
 def supports_of(
     conditioned: ConditionedStructure, p: ConclusionSentence
 ) -> list[Argument]:
-    """Triggered arguments whose conclusion implies *p*, in stable order."""
+    """Triggered arguments whose conclusion implies *p*, in triggered order."""
     _check_conclusion(conditioned, p)
-    return [a for a in conditioned.triggered if a.conclusion.implies(p)]
+    masks = conditioned.support_masks
+    support = masks.support(p.members)
+    return [a for a, bit in zip(conditioned.triggered, masks.bits) if support & bit]
 
 
 def leq_conclusions(
@@ -60,13 +69,13 @@ def leq_conclusions(
     second: ConclusionSentence,
 ) -> bool:
     """Is *first* at most as believable as *second* under the observation?"""
-    base = supports_of(conditioned, first)
-    rivals = supports_of(conditioned, second)
+    _check_conclusion(conditioned, first)
+    _check_conclusion(conditioned, second)
+    masks = conditioned.support_masks
+    base = masks.support(first.members)
     if not base:
-        return bool(rivals)
-    return all(
-        any(conditioned.closure.leq(a.id, b.id) for b in rivals) for a in base
-    )
+        return masks.support(second.members) != 0
+    return base & ~masks.dominated(second.members) == 0
 
 
 # The verdict for (first <= second, second <= first).
@@ -91,7 +100,6 @@ def compare(
 
 def is_plausible(conditioned: ConditionedStructure, p: ConclusionSentence) -> bool:
     """Is *p* strictly more believable than its complement?"""
-    _check_conclusion(conditioned, p)
     if p.is_empty() or p.is_full():
         raise UsageError("plausibility needs a non-empty, non-full conclusion")
     return (
@@ -122,19 +130,16 @@ def rank(
 ) -> RankResult:
     if not candidates:
         raise UsageError("rank needs at least one candidate")
-    for candidate in candidates:
-        _check_conclusion(conditioned, candidate)
     order = _verdict_matrix(conditioned, candidates)
-
-    def beaten(i: int, pool: list[int]) -> bool:
-        return any(
-            order[i][j] is ComparisonVerdict.STRICTLY_LESS for j in pool if j != i
-        )
-
+    beaten_by = [
+        {j for j, v in enumerate(row) if v is ComparisonVerdict.STRICTLY_LESS} - {i}
+        for i, row in enumerate(order)
+    ]
     strata: list[tuple[ConclusionSentence, ...]] = []
     remaining = list(range(len(candidates)))
     while remaining:
-        layer = [i for i in remaining if not beaten(i, remaining)]
+        pool = set(remaining)
+        layer = [i for i in remaining if not beaten_by[i] & pool]
         if not layer:  # only a faulty kernel can make the strict order cyclic
             raise ResError("the strict order over the candidates is cyclic")
         strata.append(tuple(candidates[i] for i in layer))
@@ -172,20 +177,14 @@ def hasse(
 ) -> HasseDiagram:
     result = rank(conditioned, candidates)
     matrix = result.matrix
-    count = len(candidates)
     # Group mutually-equal candidates; first occurrence names the class.
-    class_of: list[int] = [-1] * count
     classes: list[list[int]] = []
-    for i in range(count):
-        if class_of[i] >= 0:
-            continue
-        group = [i]
-        class_of[i] = len(classes)
-        for j in range(i + 1, count):
-            if class_of[j] < 0 and matrix[i][j] is ComparisonVerdict.EQUAL:
-                class_of[j] = len(classes)
-                group.append(j)
-        classes.append(group)
+    for i in range(len(candidates)):
+        home = next((g for g in classes if matrix[g[0]][i] is ComparisonVerdict.EQUAL), None)
+        if home is None:
+            classes.append([i])
+        else:
+            home.append(i)
 
     def less(a: int, b: int) -> bool:
         return matrix[classes[a][0]][classes[b][0]] is ComparisonVerdict.STRICTLY_LESS

@@ -131,7 +131,7 @@ class StructureDocument:
             "alternatives: " + ", ".join(self.conclusion_frame.alternatives),
             "options: "
             + ", ".join(
-                f"{name}={_option_text(getattr(self.options, name))}"
+                f"{name}={str(getattr(self.options, name)).lower()}"
                 for name in OPTION_FIELDS
             ),
             "",
@@ -153,14 +153,6 @@ class StructureDocument:
                         f"rel: pres({decl.left_text}) {symbol} pres({decl.right_text})"
                     )
         return "\n".join(lines) + "\n"
-
-
-def _option_text(value) -> str:
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    return str(value)
 
 
 class _DocumentParser:

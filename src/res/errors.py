@@ -48,9 +48,6 @@ class FormulaError(DeclarationError):
         self.column = column
         self.message = message
 
-    def located(self) -> SourceError:
-        return SourceError(self.line, self.column, self.message)
-
 
 class ParseError(ResError):
     """A document failed to parse; carries every located error found."""

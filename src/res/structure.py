@@ -227,10 +227,12 @@ class EvidenceStructure:
         presumption: EvidenceSentence,
         conclusion: ConclusionSentence,
         label: str | None = None,
-        origin: str = ORIGIN_DECLARED,
-        parents: tuple[tuple[EvidenceSentence, EvidenceSentence], ...] = (),
     ) -> str:
-        """Add one argument; returns its id (an existing id on a merge)."""
+        """Add one declared argument; returns its id (an existing id on a merge)."""
+        return self._add(presumption, conclusion, label, ORIGIN_DECLARED)
+
+    def _add(self, presumption, conclusion, label, origin, parents=()) -> str:
+        """Add one argument of *origin*; only the passes record *parents*."""
         pool = self._open(self._arguments, _POOL_SEALED)
         self._check_sentences(presumption, conclusion)
         if not presumption.is_satisfiable():
@@ -282,7 +284,7 @@ class EvidenceStructure:
         else:
             raise DeclarationError(f"unknown refutation policy {policy!r}")
         return [
-            self.add_support(presumption, target, origin=ORIGIN_REFUTATION)
+            self._add(presumption, target, None, ORIGIN_REFUTATION)
             for target in targets
         ]
 
@@ -370,12 +372,8 @@ class EvidenceStructure:
                     continue
                 joint = first.presumption & second.presumption
                 if joint.is_satisfiable():
-                    self.add_support(
-                        joint,
-                        first.conclusion,
-                        origin=ORIGIN_CONJUNCTION,
-                        parents=((first.presumption, second.presumption),),
-                    )
+                    parents = ((first.presumption, second.presumption),)
+                    self._add(joint, first.conclusion, None, ORIGIN_CONJUNCTION, parents)
 
     def _disjoin(self, pool: list[Argument]) -> None:
         """Iterate pairwise disjunction to a fixpoint (or the cap).
@@ -393,10 +391,11 @@ class EvidenceStructure:
                 for j in range(i + 1, count):
                     first, second = pool[i], pool[j]
                     size = len(pool)
-                    self.add_support(
+                    self._add(
                         first.presumption | second.presumption,
                         first.conclusion | second.conclusion,
-                        origin=ORIGIN_DISJUNCTION,
+                        None,
+                        ORIGIN_DISJUNCTION,
                     )
                     if len(pool) > size:
                         grew = True

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from res import (
     ComparisonVerdict,
+    OrderClosure,
     ResError,
     UsageError,
     build_sentence,
@@ -25,7 +28,7 @@ from res import (
 from res.semantics import ConclusionSentence, EvidenceSentence
 
 import oracle
-from strategies import build_engine, random_recipe
+from strategies import build_engine, random_recipe, recipes
 
 EQ = ComparisonVerdict.EQUAL
 LT = ComparisonVerdict.STRICTLY_LESS
@@ -194,6 +197,65 @@ def test_verdicts_match_oracle():
                 assert is_plausible(conditioned, first) == oracle.plausible(
                     model, active, to_names(first_mask)
                 )
+
+
+@settings(max_examples=80, deadline=None)
+@given(recipes(), st.data())
+def test_mask_kernel_matches_the_definition(recipe, data):
+    structure, closure = build_engine(recipe)
+    model = oracle.evaluate(recipe)
+    full = (1 << (1 << len(recipe.atoms))) - 1
+    given_mask = data.draw(st.integers(1, full), label="given")
+    observed = EvidenceSentence(structure.evidence_frame, given_mask)
+    view = condition(structure, closure, observed)
+    twin = condition(structure, closure, observed)
+    active = oracle.triggered(model, given_mask)
+    frame = structure.conclusion_frame
+    candidates = candidate_sentences(frame, "all")
+    result = rank(view, candidates)
+    queries = candidates + [ConclusionSentence(frame, 0)]
+    names = [frozenset(c.names()) for c in queries]
+    for i, first in enumerate(queries):
+        for j, second in enumerate(queries):
+            if i < len(candidates) and j < len(candidates):
+                expected = oracle.verdict(model, active, names[i], names[j])
+                assert result.matrix[i][j].value == expected
+            # The reversed pair, asked again of the same (now cached) view.
+            expected = oracle.verdict(model, active, names[j], names[i])
+            assert compare(view, second, first).value == expected
+        definitional = [
+            a for a in view.triggered if a.conclusion.members & ~first.members == 0
+        ]
+        assert supports_of(view, first) == definitional
+    # The masks live on the queried view only and leave equality alone.
+    assert "support_masks" in vars(view) and "support_masks" not in vars(twin)
+    assert view == twin and hash(view) == hash(twin)
+
+
+def test_rank_makes_no_closure_lookups(hominids, monkeypatch):
+    structure, closure = hominids
+    calls = []
+    leq = OrderClosure.leq
+
+    def counted(self, lower, upper):
+        calls.append((lower, upper))
+        return leq(self, lower, upper)
+
+    monkeypatch.setattr(OrderClosure, "leq", counted)
+    view = observe(structure, closure, "e1 & e2 & e12 & e23 & e13")
+    rank(view, candidate_sentences(structure.conclusion_frame, "all"))
+    assert calls == []  # 60,653 before the mask kernel
+    # explain still looks up the rival it shows beside a support that is
+    # not itself a rival, and only then.
+    trace = explain(view, concl(structure, "{B5}"), concl(structure, "{B1}"))
+    shown = {
+        (match.support, rival)
+        for direction in (trace.forward, trace.backward)
+        for match in direction.matches
+        if match.support not in direction.target_supports
+        for rival in direction.target_supports
+    }
+    assert ("a6", "a1") in calls and set(calls) <= shown
 
 
 # ---------------------------------------------------------------------------

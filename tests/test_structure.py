@@ -15,6 +15,7 @@ from res import (
     EvidenceStructure,
     StructureOptions,
     UsageError,
+    build_closure,
     build_sentence,
     conclusion_of,
     fixture_text,
@@ -330,3 +331,20 @@ def test_hominids_shape(hominids):
     assert [a.id for a in generated] == [f"a{i}" for i in range(13, 24)]
     assert [d.kind for d in structure.declarations] == ["strict"] * 4
     assert structure.argument("a17").presumption.describe() == "e2 & e13"
+
+
+def test_add_support_cannot_forge_a_generated_argument():
+    # A declared argument that claimed conjunction-rule parents used to be
+    # lifted by the declared presumption order: q <= p via conjunction-lifting.
+    s = fresh(conjunction_arguments=True, conjunction_lifting=True)
+    x, y = sentence("x"), sentence("y")
+    s.add_support(x, c("A"), "p")
+    with pytest.raises(TypeError):
+        s.add_support(y, c("B"), "q", origin="conjunction-rule", parents=((x, x),))
+    s.add_support(y, c("B"), "q")
+    s.declare_presumption_relation("strict", x, y)
+    s.run_generation_passes()
+    closure = build_closure(s)
+    assert s.argument("q").origins == ("declared",)
+    assert s.argument("q").parents == ()
+    assert closure.leq("p", "q") and not closure.leq("q", "p")
