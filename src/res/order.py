@@ -13,6 +13,11 @@ five families of seed pairs:
 * optionally, equality across one presumption, and lifting of declared
   presumption-level strengths to conjunction-rule arguments.
 
+Every seed is found by index or sorted scan: a presumption group meets only
+the groups with fewer models, behind 64-bit folded signatures, and lifting
+looks its targets up by presumption and by parent pair.  A seed pair keeps
+only its first cause; its :class:`SeedReason` is built on demand.
+
 Strictness is never seeded: ``a`` is strictly below ``b`` exactly when the
 closure holds one way and not the other.  Declared strict or equal pairs
 are instead audited afterwards by :func:`check_consistency`, which reports
@@ -23,6 +28,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import permutations, product
 
 from .errors import UsageError
 from .structure import (
@@ -32,7 +38,6 @@ from .structure import (
     KIND_STRICT,
     LEVEL_ARGUMENT,
     LEVEL_PRESUMPTION,
-    ORIGIN_CONJUNCTION,
     RelationDeclaration,
 )
 
@@ -63,12 +68,23 @@ class ChainStep:
     reason: SeedReason
 
 
-class OrderClosure:
-    """The closed strength relation, queryable by argument id."""
+#: The detail of each structural seed kind, from the lower and upper ids.
+_DETAILS = {
+    SEED_CONSTRAINT_CONCLUSION: "{0} concludes a subset of {1}",
+    SEED_SAME_PRESUMPTION: "{0} and {1} share a presumption",
+    SEED_CONSTRAINT_SPECIFICITY: "{1} presumes strictly more than {0}",
+    SEED_LIFTING: "parents of {0} are each outweighed toward {1}",
+}
 
-    def __init__(
-        self, structure: EvidenceStructure, seeds: dict[tuple[int, int], SeedReason]
-    ):
+
+class OrderClosure:
+    """The closed strength relation, queryable by argument id.
+
+    *seeds* maps each seed pair of positions to its cause, a seed kind or a
+    declaration; :meth:`_reason` builds the reason when a chain shows it.
+    """
+
+    def __init__(self, structure: EvidenceStructure, seeds: dict):
         self.structure = structure
         self.ids = tuple(a.id for a in structure.arguments)
         self._seeds = seeds
@@ -80,6 +96,13 @@ class OrderClosure:
         """Is *lower* at most as strong as *upper*?"""
         position = self.structure.position
         return bool(self._rows[position(lower)] >> position(upper) & 1)
+
+    def _reason(self, i: int, j: int) -> SeedReason:
+        """Why the seed pair of positions ``(i, j)`` is in the relation."""
+        cause = self._seeds[(i, j)]
+        if isinstance(cause, RelationDeclaration):
+            return SeedReason(SEED_DECLARATION, f"#{cause.ordinal} {cause.describe()}")
+        return SeedReason(cause, _DETAILS[cause].format(self.ids[i], self.ids[j]))
 
     def provenance_chain(self, lower: str, upper: str) -> list[ChainStep]:
         """A shortest seed-by-seed derivation of ``lower <= upper``.
@@ -101,33 +124,36 @@ class OrderClosure:
                 if there not in parent:
                     parent[there] = here
                     queue.append(there)
-        steps: list[ChainStep] = []
-        node = goal
-        while node != start:
-            prev = parent[node]
-            reason = self._seeds[(prev, node)]
-            steps.append(ChainStep(self.ids[prev], self.ids[node], reason))
-            node = prev
-        steps.reverse()
-        return steps
+        path = [goal]
+        while path[-1] != start:
+            path.append(parent[path[-1]])
+        path.reverse()
+        return [
+            ChainStep(self.ids[i], self.ids[j], self._reason(i, j))
+            for i, j in zip(path, path[1:])
+        ]
 
 
 def _reach(successors: list[list[int]]) -> list[int]:
     """Reflexive-transitive closure of a graph given by successor lists.
 
     Row ``i`` is a bitmask holding ``i`` itself and every node a path from
-    ``i`` reaches, found by breadth-first search.
+    ``i`` reaches.  A search from ``start`` takes the finished row of each
+    node below ``start`` it meets whole, instead of searching past it.
     """
     rows: list[int] = []
     for start in range(len(successors)):
         seen = 1 << start
-        queue = deque([start])
-        while queue:
-            for there in successors[queue.popleft()]:
-                bit = 1 << there
-                if not seen & bit:
-                    seen |= bit
-                    queue.append(there)
+        stack = [start]
+        while stack:
+            for there in successors[stack.pop()]:
+                if seen >> there & 1:
+                    continue
+                if there < start:
+                    seen |= rows[there]
+                else:
+                    seen |= 1 << there
+                    stack.append(there)
         rows.append(seen)
     return rows
 
@@ -135,10 +161,18 @@ def _reach(successors: list[list[int]]) -> list[int]:
 def _successors(pairs, count: int) -> list[list[int]]:
     """Successor lists of the non-loop *pairs*, each list in sorted order."""
     successors: list[list[int]] = [[] for _ in range(count)]
-    for (i, j) in sorted(pairs):
+    for (i, j) in pairs:
         if i != j:
             successors[i].append(j)
-    return successors
+    return [sorted(nexts) for nexts in successors]
+
+
+def _fold(mask: int, width: int) -> int:
+    """Fold a set over *width* bits to 64 bits, so that subsets stay subsets."""
+    while width > 64:
+        width >>= 1
+        mask = mask >> width | mask & ((1 << width) - 1)
+    return mask
 
 
 def _declared_pairs(declaration, structure) -> list[tuple[int, int]]:
@@ -160,45 +194,35 @@ def build_closure(structure: EvidenceStructure) -> OrderClosure:
     """
     declarations = structure.seal_declarations()
     arguments = structure.arguments
-    # One reason per pair, the first recorded; chains only ever show that.
-    seeds: dict[tuple[int, int], SeedReason] = {}
-
-    def seed(i: int, j: int, kind: str, detail: str) -> None:
-        if (i, j) not in seeds:
-            seeds[(i, j)] = SeedReason(kind, detail)
+    # The passes run in a fixed order, and each pair keeps its first cause.
+    seeds: dict[tuple[int, int], str | RelationDeclaration] = {}
+    seed = seeds.setdefault
 
     for declaration in declarations:
-        detail = f"#{declaration.ordinal} {declaration.describe()}"
         for (i, j) in _declared_pairs(declaration, structure):
-            seed(i, j, SEED_DECLARATION, detail)
+            seed((i, j), declaration)
             if declaration.kind == KIND_EQUAL:
-                seed(j, i, SEED_DECLARATION, detail)
+                seed((j, i), declaration)
 
     # add_support has checked every frame, so raw masks compare directly.
     groups = structure.presumption_groups
     same_presumption_equal = structure.options.same_presumption_equal
     for members in groups.values():
-        for i in members:
-            lower = arguments[i]
-            for j in members:
-                if i == j:
-                    continue
-                upper = arguments[j]
-                if lower.conclusion.members & ~upper.conclusion.members == 0:
-                    detail = f"{lower.id} concludes a subset of {upper.id}"
-                    seed(i, j, SEED_CONSTRAINT_CONCLUSION, detail)
-                if same_presumption_equal:
-                    detail = f"{lower.id} and {upper.id} share a presumption"
-                    seed(i, j, SEED_SAME_PRESUMPTION, detail)
-    for weak, lows in groups.items():
-        for strong, highs in groups.items():
-            if strong == weak or strong & ~weak:
-                continue  # strong's presumption is not strictly more specific
-            for i in lows:
-                for j in highs:
-                    low_id, high_id = arguments[i].id, arguments[j].id
-                    detail = f"{high_id} presumes strictly more than {low_id}"
-                    seed(i, j, SEED_CONSTRAINT_SPECIFICITY, detail)
+        for (i, j) in permutations(members, 2):
+            upper = arguments[j].conclusion.members
+            if arguments[i].conclusion.members | upper == upper:
+                seed((i, j), SEED_CONSTRAINT_CONCLUSION)
+            elif same_presumption_equal:
+                seed((i, j), SEED_SAME_PRESUMPTION)
+    # A strictly more specific presumption has fewer models, so it sorts
+    # earlier; folded signatures rule out most pairs before the full test.
+    width = structure.evidence_frame.valuations
+    ordered = [(m, _fold(m, width)) for m in sorted(groups, key=int.bit_count)]
+    for k, (weak, weak_signature) in enumerate(ordered):
+        for strong, signature in ordered[:k]:
+            if signature | weak_signature == weak_signature and strong | weak == weak:
+                for pair in product(groups[weak], groups[strong]):
+                    seed(pair, SEED_CONSTRAINT_SPECIFICITY)
 
     if structure.options.conjunction_lifting:
         _seed_lifting(structure, seed)
@@ -207,7 +231,12 @@ def build_closure(structure: EvidenceStructure) -> OrderClosure:
 
 
 def _seed_lifting(structure: EvidenceStructure, seed) -> None:
-    """Seed conjunction-lifting pairs from the declared presumption order."""
+    """Seed conjunction-lifting pairs from the declared presumption order.
+
+    Parents ``(x, y)`` lift to each target presuming something above both,
+    or with parents above ``x`` and ``y`` in either pairing: the targets are
+    looked up by presumption and by parent pair.
+    """
     position: dict[int, int] = {}
     declared: list[tuple[int, int]] = []
     for declaration in structure.declarations:
@@ -218,33 +247,24 @@ def _seed_lifting(structure: EvidenceStructure, seed) -> None:
             if declaration.kind == KIND_EQUAL:
                 declared.append((high, low))
     rows = _reach(_successors(declared, len(position)))
-
-    def below(x, y) -> bool:
-        at, to = position.get(x.models), position.get(y.models)
-        return x.models == y.models or (
-            at is not None and to is not None and bool(rows[at] >> to & 1)
-        )
-
-    def lifted(source, target) -> bool:
-        # Both parents sit below the whole target presumption (the collapsed
-        # bound), or below the target's two parents, in either pairing.
-        return any(
-            below(x, target.presumption) and below(y, target.presumption)
-            or any(
-                below(x, tx) and below(y, ty) or below(x, ty) and below(y, tx)
-                for (tx, ty) in target.parents
-            )
-            for (x, y) in source.parents
-        )
+    # The declared presumptions each mask lies below, the mask itself included.
+    above = {mask: {high for high, k in position.items() if row >> k & 1}
+             for mask, row in zip(position, rows)}
 
     arguments = structure.arguments
+    by_pair: dict[tuple[int, int], list[int]] = {}
+    for j, target in enumerate(arguments):
+        for (tx, ty) in target.parents:
+            by_pair.setdefault((tx.models, ty.models), []).append(j)
+            by_pair.setdefault((ty.models, tx.models), []).append(j)
+    groups = structure.presumption_groups
     for i, source in enumerate(arguments):
-        if ORIGIN_CONJUNCTION not in source.origins or not source.parents:
-            continue
-        for j, target in enumerate(arguments):
-            if i != j and lifted(source, target):
-                detail = f"parents of {source.id} are each outweighed toward {target.id}"
-                seed(i, j, SEED_LIFTING, detail)
+        for (x, y) in source.parents:
+            up_x, up_y = (above.get(p.models, {p.models}) for p in (x, y))
+            targets = [j for u in up_x & up_y for j in groups.get(u, ())]
+            targets += [j for u in up_x for v in up_y for j in by_pair.get((u, v), ())]
+            for j in set(targets) - {i}:
+                seed((i, j), SEED_LIFTING)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import random
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
@@ -22,10 +23,11 @@ from res import (
     load_structure,
     parse_document,
 )
+from res import order
 
 import oracle
 from oracle import Recipe
-from strategies import build_engine, random_recipe, recipes
+from strategies import KINDS, build_engine, random_recipe, recipes
 
 
 def atom_mask(atom_count: int, i: int) -> int:
@@ -468,3 +470,210 @@ def test_closure_rejects_invalid_structures():
     closure = build_closure(structure)
     assert closure.ids == ("p", "q", "a1")
     assert structure.argument("a1").origins == ("conjunction-rule",)
+
+
+# -- the seed relation by definition -----------------------------------------
+
+
+def reference_seeds(structure) -> dict[tuple[int, int], tuple[str, str]]:
+    """Every seed pair with its first (kind, detail), found pair by pair.
+
+    The passes run in the closure's order; the declared presumption order
+    that lifting reads is closed by a naive fixpoint.
+    """
+    arguments = structure.arguments
+    where = {a.id: k for k, a in enumerate(arguments)}
+    seeds: dict[tuple[int, int], tuple[str, str]] = {}
+
+    def seed(i, j, kind, detail):
+        seeds.setdefault((i, j), (kind, detail))
+
+    def carrying(sentence):
+        return [k for k, a in enumerate(arguments) if a.presumption == sentence]
+
+    for declaration in structure.declarations:
+        detail = f"#{declaration.ordinal} {declaration.describe()}"
+        if declaration.level == "argument":
+            pairs = [(where[declaration.left], where[declaration.right])]
+        else:
+            lows, highs = carrying(declaration.left), carrying(declaration.right)
+            pairs = [(i, j) for i in lows for j in highs]
+        for (i, j) in pairs:
+            seed(i, j, "declaration", detail)
+            if declaration.kind == "equal":
+                seed(j, i, "declaration", detail)
+
+    share_equal = structure.options.same_presumption_equal
+    for i, lower in enumerate(arguments):
+        for j, upper in enumerate(arguments):
+            if i == j or lower.presumption != upper.presumption:
+                continue
+            if lower.conclusion.implies(upper.conclusion):
+                detail = f"{lower.id} concludes a subset of {upper.id}"
+                seed(i, j, "conclusion-implication", detail)
+            if share_equal:
+                detail = f"{lower.id} and {upper.id} share a presumption"
+                seed(i, j, "same-presumption", detail)
+    for i, lower in enumerate(arguments):
+        for j, upper in enumerate(arguments):
+            if upper.presumption.implies(lower.presumption) and not (
+                lower.presumption.implies(upper.presumption)
+            ):
+                detail = f"{upper.id} presumes strictly more than {lower.id}"
+                seed(i, j, "presumption-specificity", detail)
+
+    if not structure.options.conjunction_lifting:
+        return seeds
+    declared = set()
+    for declaration in structure.declarations:
+        if declaration.level == "presumption":
+            left, right = declaration.left.models, declaration.right.models
+            declared.add((left, right))
+            if declaration.kind == "equal":
+                declared.add((right, left))
+    while True:
+        grown = declared | {
+            (a, d) for (a, b) in declared for (c, d) in declared if b == c
+        }
+        if grown == declared:
+            break
+        declared = grown
+
+    def below(x, y):
+        return x.models == y.models or (x.models, y.models) in declared
+
+    def lifted(source, target):
+        return any(
+            below(x, target.presumption) and below(y, target.presumption)
+            or any(
+                below(x, tx) and below(y, ty) or below(x, ty) and below(y, tx)
+                for (tx, ty) in target.parents
+            )
+            for (x, y) in source.parents
+        )
+
+    for i, source in enumerate(arguments):
+        if "conjunction-rule" not in source.origins:
+            continue
+        for j, target in enumerate(arguments):
+            if i != j and lifted(source, target):
+                detail = f"parents of {source.id} are each outweighed toward"
+                seed(i, j, "conjunction-lifting", f"{detail} {target.id}")
+    return seeds
+
+
+def assert_seeds_match_definition(structure, closure):
+    expected = reference_seeds(structure)
+    assert set(closure._seeds) == set(expected)
+    for (i, j), (kind, detail) in expected.items():
+        reason = closure._reason(i, j)
+        assert (reason.kind, reason.detail) == (kind, detail)
+
+
+def sixteen_atom_structure(arguments: int, cap: int, seed: int = 16):
+    """Conjunctions of one to three literals over 16 atoms, closed under
+    disjunction up to *cap*: the presumption masks are 65,536 bits wide."""
+    atoms = tuple(f"e{i}" for i in range(16))
+    alternatives = tuple(f"A{i}" for i in range(8))
+    frame, conclusions = EvidenceFrame(atoms), ConclusionFrame(alternatives)
+    options = StructureOptions(disjunction_closure=True, disjunction_closure_cap=cap)
+    structure = EvidenceStructure(frame, conclusions, options)
+    rng = random.Random(seed)
+    for _ in range(arguments):
+        chosen = rng.sample(atoms, rng.randint(1, 3))
+        literals = [rng.choice(("", "!")) + atom for atom in chosen]
+        structure.add_support(
+            build_sentence(frame, " & ".join(literals)),
+            conclusion_of(conclusions, [rng.choice(alternatives)]),
+        )
+    presumptions = [a.presumption for a in structure.arguments[:4]]
+    structure.declare_presumption_relation("strict", *presumptions[:2])
+    structure.declare_presumption_relation("equal", *presumptions[2:])
+    structure.run_generation_passes()
+    return structure
+
+
+def test_fixture_seeds_match_definition(example1, hominids, hominids_lifting):
+    for structure, closure in (example1, hominids, hominids_lifting):
+        assert_seeds_match_definition(structure, closure)
+
+
+@settings(max_examples=120, deadline=None)
+@given(recipes(max_atoms=4, max_arguments=10), st.booleans(), st.data())
+def test_random_seeds_match_definition(recipe, lifting, data):
+    if lifting:
+        # Relate presumptions the arguments carry, so that lifting fires.
+        masks = sorted({mask for (mask, _) in recipe.supports})
+        related = data.draw(
+            st.lists(
+                st.tuples(st.sampled_from(KINDS), st.sampled_from(masks),
+                          st.sampled_from(masks)),
+                max_size=3,
+            )
+        )
+        recipe = dataclasses.replace(
+            recipe,
+            pres_rels=recipe.pres_rels + tuple(related),
+            conjunction_arguments=True,
+            conjunction_lifting=True,
+        )
+    assert_seeds_match_definition(*build_engine(recipe))
+
+
+def test_sixteen_atom_seeds_match_definition():
+    structure = sixteen_atom_structure(10, 64)
+    assert structure.evidence_frame.valuations == 1 << 16
+    assert len(structure.arguments) == 74 and structure.disjunction_capped
+    assert_seeds_match_definition(structure, build_closure(structure))
+
+
+def test_seed_reasons_are_built_on_demand(monkeypatch):
+    made = []
+
+    def counting(kind, detail):
+        made.append(kind)
+        return real(kind, detail)
+
+    real = order.SeedReason
+    monkeypatch.setattr(order, "SeedReason", counting)
+    document = parse_document(fixture_text("hominids.res"))
+    document.options = dataclasses.replace(document.options, conjunction_lifting=True)
+    structure = document.to_structure()
+    closure = build_closure(structure)
+    assert len(closure._seeds) == 146 and made == []
+
+    # A seed pair's chain is its one step, shown with its first reason.
+    expected = reference_seeds(structure)
+    ids = closure.ids
+    for (i, j), reason in expected.items():
+        if i != j:
+            step = order.ChainStep(ids[i], ids[j], real(*reason))
+            assert closure.provenance_chain(ids[i], ids[j]) == [step]
+    assert len(made) == sum(i != j for (i, j) in expected)
+
+    # The audit's chains show the same reasons.
+    regroup = parse_document(REGROUP_DOCUMENT).to_structure()
+    regroup_closure = build_closure(regroup)
+    expected = reference_seeds(regroup)
+    where = {a.id: k for k, a in enumerate(regroup.arguments)}
+    steps = [
+        step
+        for violation in check_consistency(regroup_closure, regroup).violations
+        for step in violation.chain
+    ]
+    assert steps
+    for step in steps:
+        pair = (where[step.lower], where[step.upper])
+        assert (step.reason.kind, step.reason.detail) == expected[pair]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 16), st.data())
+def test_fold_keeps_subsets_and_short_masks(k, data):
+    width = 1 << k
+    b = data.draw(st.integers(0, (1 << width) - 1))
+    a = b & data.draw(st.integers(0, (1 << width) - 1))
+    assert order._fold(a, width) | order._fold(b, width) == order._fold(b, width)
+    assert order._fold(b, width) < 1 << 64
+    short = data.draw(st.integers(0, (1 << min(width, 64)) - 1))
+    assert order._fold(short, width) == short
