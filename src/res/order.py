@@ -14,8 +14,8 @@ five families of seed pairs:
   presumption-level strengths to conjunction-rule arguments.
 
 Every seed is found by index or sorted scan: a presumption group meets only
-the groups with fewer models, behind 64-bit folded signatures, and lifting
-looks its targets up by presumption and by parent pair.  A seed pair keeps
+the groups with fewer models, and lifting looks its targets up by
+presumption and by parent pair.  A seed pair keeps
 only its first cause; its :class:`SeedReason` is built on demand.
 
 Strictness is never seeded: ``a`` is strictly below ``b`` exactly when the
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 from .errors import UsageError
 from .structure import (
@@ -167,14 +167,6 @@ def _successors(pairs, count: int) -> list[list[int]]:
     return [sorted(nexts) for nexts in successors]
 
 
-def _fold(mask: int, width: int) -> int:
-    """Fold a set over *width* bits to 64 bits, so that subsets stay subsets."""
-    while width > 64:
-        width >>= 1
-        mask = mask >> width | mask & ((1 << width) - 1)
-    return mask
-
-
 def _declared_pairs(declaration, structure) -> list[tuple[int, int]]:
     """The (lower, upper) argument positions one declaration relates."""
     if declaration.level == LEVEL_ARGUMENT:
@@ -215,14 +207,11 @@ def build_closure(structure: EvidenceStructure) -> OrderClosure:
             elif same_presumption_equal:
                 seed((i, j), SEED_SAME_PRESUMPTION)
     # A strictly more specific presumption has fewer models, so it sorts
-    # earlier; folded signatures rule out most pairs before the full test.
-    width = structure.evidence_frame.valuations
-    ordered = [(m, _fold(m, width)) for m in sorted(groups, key=int.bit_count)]
-    for k, (weak, weak_signature) in enumerate(ordered):
-        for strong, signature in ordered[:k]:
-            if signature | weak_signature == weak_signature and strong | weak == weak:
-                for pair in product(groups[weak], groups[strong]):
-                    seed(pair, SEED_CONSTRAINT_SPECIFICITY)
+    # earlier.
+    for (strong, weak) in combinations(sorted(groups, key=int.bit_count), 2):
+        if strong | weak == weak:
+            for pair in product(groups[weak], groups[strong]):
+                seed(pair, SEED_CONSTRAINT_SPECIFICITY)
 
     if structure.options.conjunction_lifting:
         _seed_lifting(structure, seed)

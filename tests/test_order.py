@@ -665,15 +665,3 @@ def test_seed_reasons_are_built_on_demand(monkeypatch):
     for step in steps:
         pair = (where[step.lower], where[step.upper])
         assert (step.reason.kind, step.reason.detail) == expected[pair]
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(0, 16), st.data())
-def test_fold_keeps_subsets_and_short_masks(k, data):
-    width = 1 << k
-    b = data.draw(st.integers(0, (1 << width) - 1))
-    a = b & data.draw(st.integers(0, (1 << width) - 1))
-    assert order._fold(a, width) | order._fold(b, width) == order._fold(b, width)
-    assert order._fold(b, width) < 1 << 64
-    short = data.draw(st.integers(0, (1 << min(width, 64)) - 1))
-    assert order._fold(short, width) == short
