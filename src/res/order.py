@@ -81,7 +81,10 @@ class OrderClosure:
     """The closed strength relation, queryable by argument id.
 
     *seeds* maps each seed pair of positions to its cause, a seed kind or a
-    declaration; :meth:`_reason` builds the reason when a chain shows it.
+    declaration, as :func:`build_closure` finds them: specificity over the
+    presumption groups sorted by model count, lifting by presumption and
+    parent-pair lookup.  :meth:`_reason` builds the reason when a chain
+    shows it.
     """
 
     def __init__(self, structure: EvidenceStructure, seeds: dict):
