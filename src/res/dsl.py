@@ -46,6 +46,9 @@ from .structure import (
 )
 
 _ARG_HEAD = re.compile(rf"arg(?:\s+({IDENTIFIER.pattern}))?\s*:\s*")
+_REFUTE_HEAD = re.compile(r"refute\s*:\s*")
+_REL_HEAD = re.compile(r"rel\s*:\s*")
+_PRES_OPEN = re.compile(r"pres\s*\(")
 # Longest symbol first, so that "<=" is not read as "<".
 _REL_SYMBOLS = sorted(KIND_SYMBOLS.items(), key=lambda item: -len(item[1]))
 
@@ -165,6 +168,9 @@ class _DocumentParser:
         self.option_values: dict[str, object] = {}
         self.options_line = 0
         self.body_lines: list[tuple[int, str]] = []
+        # (parse function, stripped text) -> sentence, for this document only;
+        # a failed parse is not kept, so every bad occurrence is reported.
+        self.parsed: dict[tuple, object] = {}
 
     def error(self, line: int, column: int, message: str) -> None:
         self.errors.append(SourceError(line, column, message))
@@ -301,6 +307,13 @@ class _DocumentParser:
         else:
             self.error(number, indent, f"unknown statement {word!r}")
 
+    def _parsed(self, parse, frame, text: str, number: int, column: int):
+        key = parse, text.strip()
+        sentence = self.parsed.get(key)
+        if sentence is None:
+            sentence = self.parsed[key] = parse(frame, text, number, column)
+        return sentence
+
     def _split_arrow(self, number, stripped, indent, head_end):
         arrow = stripped.find("=>", head_end)
         if arrow < 0:
@@ -322,8 +335,12 @@ class _DocumentParser:
         document.body.append(
             ArgDecl(
                 m.group(1),
-                build_sentence(document.evidence_frame, formula, number, fcol),
-                parse_conclusion(document.conclusion_frame, conclusion, number, ccol),
+                self._parsed(
+                    build_sentence, document.evidence_frame, formula, number, fcol
+                ),
+                self._parsed(
+                    parse_conclusion, document.conclusion_frame, conclusion, number, ccol
+                ),
                 formula.strip(),
                 conclusion.strip(),
                 number,
@@ -331,7 +348,7 @@ class _DocumentParser:
         )
 
     def _parse_refute(self, document, number, stripped, indent) -> None:
-        m = re.match(r"refute\s*:\s*", stripped)
+        m = _REFUTE_HEAD.match(stripped)
         if m is None:
             raise FormulaError("malformed refute line", number, indent)
         formula, fcol, tail, tcol = self._split_arrow(number, stripped, indent, m.end())
@@ -348,8 +365,12 @@ class _DocumentParser:
             )
         document.body.append(
             RefuteDecl(
-                build_sentence(document.evidence_frame, formula, number, fcol),
-                parse_conclusion(document.conclusion_frame, conclusion, number, tcol),
+                self._parsed(
+                    build_sentence, document.evidence_frame, formula, number, fcol
+                ),
+                self._parsed(
+                    parse_conclusion, document.conclusion_frame, conclusion, number, tcol
+                ),
                 policy,
                 formula.strip(),
                 conclusion.strip(),
@@ -358,7 +379,7 @@ class _DocumentParser:
         )
 
     def _parse_rel(self, document, number, stripped, indent) -> None:
-        m = re.match(r"rel\s*:\s*", stripped)
+        m = _REL_HEAD.match(stripped)
         if m is None:
             raise FormulaError("malformed rel line", number, indent)
         rest, rest_col = stripped[m.end() :], indent + m.end()
@@ -391,7 +412,7 @@ class _DocumentParser:
     def _parse_rel_term(self, document, number, rest, rest_col, start):
         """Returns ((value, text), end); value is a label or a sentence."""
         at = _skip_spaces(rest, start)
-        m = re.compile(r"pres\s*\(").match(rest, at)
+        m = _PRES_OPEN.match(rest, at)
         if m:
             depth, i = 1, m.end()
             while i < len(rest) and depth:
@@ -403,8 +424,8 @@ class _DocumentParser:
             if depth:
                 raise FormulaError("unbalanced 'pres('", number, rest_col + at)
             inner = rest[m.end() : i - 1]
-            sentence = build_sentence(
-                document.evidence_frame, inner, number, rest_col + m.end()
+            sentence = self._parsed(
+                build_sentence, document.evidence_frame, inner, number, rest_col + m.end()
             )
             return (sentence, inner.strip()), i
         m = IDENTIFIER.match(rest, at)

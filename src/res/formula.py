@@ -15,72 +15,63 @@ report a line and column relative to the enclosing source text.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NoReturn
 
 from .errors import FormulaError
 
 #: The one identifier rule: atoms, alternatives, labels and structure names.
 IDENTIFIER = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
-# Unicode aliases for the three connectives.
-_ALIASES = {"¬": "!", "∧": "&", "∨": "|"}
+# The kind of every symbol token; the unicode spellings of the three
+# connectives are aliases.
+_KINDS = {**{c: c for c in "!&|(){},"}, "¬": "!", "∧": "&", "∨": "|"}
 
-_SYMBOLS = {"!", "&", "|", "(", ")", "{", "}", ","}
-
-
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "ident", one of the symbols, or "end"
-    value: str
-    column: int  # 1-based, relative to the enclosing line
+# Blanks (group 1), then an identifier (group 2) or one other character.
+_TOKEN = re.compile(rf"([ \t]*)(?:({IDENTIFIER.pattern})|(.))", re.S)
 
 
-def tokenize(text: str, column: int = 1) -> list[Token]:
-    """Split *text* into tokens; *column* is the position of text[0]."""
-    tokens: list[Token] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch in " \t":
-            i += 1
+def tokenize(
+    text: str, line: int = 1, column: int = 1, what: str = "formula"
+) -> list[tuple[str, str, int]]:
+    """Split the *what* in *text* into ``(kind, value, column)`` tokens, with
+    *kind* "ident", a symbol or "end"; *text* sits at *line*, *column*."""
+    stripped = text.strip()
+    if not stripped:
+        raise FormulaError(f"empty {what}", line, column)
+    column += len(text) - len(text.lstrip())
+    tokens = []
+    for blanks, ident, other in _TOKEN.findall(stripped):
+        column += len(blanks)
+        if ident:
+            tokens.append(("ident", ident, column))
+            column += len(ident)
             continue
-        ch = _ALIASES.get(ch, ch)
-        if ch in _SYMBOLS:
-            tokens.append(Token(ch, ch, column + i))
-            i += 1
-            continue
-        m = IDENTIFIER.match(text, i)
-        if m:
-            tokens.append(Token("ident", m.group(), column + i))
-            i = m.end()
-            continue
-        raise FormulaError(f"unexpected character {text[i]!r}", column=column + i)
-    tokens.append(Token("end", "", column + len(text)))
+        kind = _KINDS.get(other)
+        if kind is None:
+            raise FormulaError(f"unexpected character {other!r}", line, column)
+        tokens.append((kind, kind, column))
+        column += 1
+    tokens.append(("end", "", column))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], line: int):
+    def __init__(self, tokens: list[tuple[str, str, int]], line: int):
         self.tokens = tokens
         self.line = line
         self.pos = 0
 
-    @property
-    def here(self) -> Token:
-        return self.tokens[self.pos]
-
-    def take(self, kind: str) -> Token:
-        tok = self.here
-        if tok.kind != kind:
-            self.fail(f"expected {kind!r}", tok)
+    def take(self, kind: str) -> tuple[str, str, int]:
+        tok = self.tokens[self.pos]
+        if tok[0] != kind:
+            self.fail(f"expected {kind!r}")
         self.pos += 1
         return tok
 
-    def fail(self, message: str, tok: Token | None = None):
-        tok = tok or self.here
-        shown = f" before {tok.value!r}" if tok.kind != "end" else " at end of formula"
-        raise FormulaError(message + shown, self.line, tok.column)
+    def fail(self, message: str) -> NoReturn:
+        kind, value, column = self.tokens[self.pos]
+        shown = f" before {value!r}" if kind != "end" else " at end of formula"
+        raise FormulaError(message + shown, self.line, column)
 
 
 class _FormulaParser(_Parser):
@@ -94,56 +85,43 @@ class _FormulaParser(_Parser):
 
     def parse(self) -> int:
         value = self.expr()
-        if self.here.kind != "end":
+        if self.tokens[self.pos][0] != "end":
             self.fail("trailing input")
         return value
 
     def expr(self) -> int:
         value = self.term()
-        while self.here.kind == "|":
+        while self.tokens[self.pos][0] == "|":
             self.pos += 1
             value |= self.term()
         return value
 
     def term(self) -> int:
         value = self.factor()
-        while self.here.kind == "&":
+        while self.tokens[self.pos][0] == "&":
             self.pos += 1
             value &= self.factor()
         return value
 
     def factor(self) -> int:
-        tok = self.here
-        if tok.kind == "!":
-            self.pos += 1
-            return self.factor() ^ self.full
-        if tok.kind == "(":
-            self.pos += 1
-            value = self.expr()
-            self.take(")")
-            return value
-        if tok.kind == "ident":
+        kind, value, column = self.tokens[self.pos]
+        if kind == "ident":
             self.pos += 1
             try:
-                return self.atom_masks[tok.value]
+                return self.atom_masks[value]
             except KeyError:
                 raise FormulaError(
-                    f"unknown atom {tok.value!r}", self.line, tok.column
+                    f"unknown atom {value!r}", self.line, column
                 ) from None
-        self.fail("expected an atom, '!' or '('", tok)
-        raise AssertionError("unreachable")
-
-
-def _tokens(text: str, what: str, line: int, column: int) -> list[Token]:
-    """Tokens of *text* located on *line*; *column* is the position of text[0]."""
-    stripped = text.strip()
-    if not stripped:
-        raise FormulaError(f"empty {what}", line, column)
-    offset = column + (len(text) - len(text.lstrip()))
-    try:
-        return tokenize(stripped, offset)
-    except FormulaError as err:
-        raise FormulaError(err.message, line, err.column) from None
+        if kind == "!":
+            self.pos += 1
+            return self.factor() ^ self.full
+        if kind == "(":
+            self.pos += 1
+            inner = self.expr()
+            self.take(")")
+            return inner
+        self.fail("expected an atom, '!' or '('")
 
 
 def parse_formula_mask(
@@ -154,7 +132,7 @@ def parse_formula_mask(
     column: int = 1,
 ) -> int:
     """Parse an evidence formula into its valuation mask."""
-    tokens = _tokens(text, "formula", line, column)
+    tokens = tokenize(text, line, column)
     return _FormulaParser(tokens, line, atom_masks, full).parse()
 
 
@@ -166,26 +144,25 @@ def parse_conclusion_mask(
     column: int = 1,
 ) -> int:
     """Parse a conclusion literal (``{...}`` or ``!{...}``) into a member mask."""
-    parser = _Parser(_tokens(text, "conclusion", line, column), line)
-    complement = False
-    if parser.here.kind == "!":
-        complement = True
-        parser.pos += 1
+    tokens = tokenize(text, line, column, "conclusion")
+    parser = _Parser(tokens, line)
+    complement = tokens[0][0] == "!"
+    parser.pos = int(complement)
     parser.take("{")
     mask = 0
-    if parser.here.kind != "}":
+    if tokens[parser.pos][0] != "}":
         while True:
-            tok = parser.take("ident")
+            _, name, at = parser.take("ident")
             try:
-                mask |= alternative_bits[tok.value]
+                mask |= alternative_bits[name]
             except KeyError:
                 raise FormulaError(
-                    f"unknown alternative {tok.value!r}", line, tok.column
+                    f"unknown alternative {name!r}", line, at
                 ) from None
-            if parser.here.kind != ",":
+            if tokens[parser.pos][0] != ",":
                 break
             parser.pos += 1
     parser.take("}")
-    if parser.here.kind != "end":
+    if tokens[parser.pos][0] != "end":
         parser.fail("trailing input")
     return mask ^ full if complement else mask

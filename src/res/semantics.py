@@ -61,12 +61,14 @@ class EvidenceFrame:
 
 @lru_cache(maxsize=None)
 def _atom_masks(frame: EvidenceFrame) -> dict[str, int]:
+    """Atom i's mask: a block of 2**i zeros then 2**i ones, doubled to width."""
     masks: dict[str, int] = {}
     for i, name in enumerate(frame.atoms):
-        mask = 0
-        for v in range(frame.valuations):
-            if v >> i & 1:
-                mask |= 1 << v
+        half = 1 << i
+        mask, width = ((1 << half) - 1) << half, 2 * half
+        while width < frame.valuations:
+            mask |= mask << width
+            width *= 2
         masks[name] = mask
     return masks
 

@@ -7,13 +7,17 @@ import random
 import pytest
 
 from res import (
+    EvidenceSentence,
     ParseError,
     build_closure,
+    build_sentence,
     fixture_path,
     fixture_text,
     load_structure,
+    parse_conclusion,
     parse_document,
 )
+from res import dsl
 from res.dsl import ArgDecl, RefuteDecl, RelDecl
 
 from strategies import random_document_text
@@ -203,6 +207,51 @@ def test_rel_line_errors():
     assert "argument label or pres(...)" in err.message
 
 
+# Every (message, line, column) below was recorded before the tokenizer
+# became one regex scan; columns count characters from 1, tabs included.
+PINNED_ERRORS = [
+    ("  \targ a1: e1 & bogus => {Al1}", [("unknown atom 'bogus'", 4, 17)]),
+    ("arg a1:\t  e1 &\t$ e2 => {Al1}", [("unexpected character '$'", 4, 16)]),
+    ("arg a1: e1 & e2$ => {Al1}", [("unexpected character '$'", 4, 16)]),
+    ("arg a1: ¬ => {Al1}", [("expected an atom, '!' or '(' at end of formula", 4, 10)]),
+    ("arg a1: e1 ∧ ∧ e2 => {Al1}", [("expected an atom, '!' or '(' before '&'", 4, 14)]),
+    ("arg a1: ∨e1 => {Al1}", [("expected an atom, '!' or '(' before '|'", 4, 9)]),
+    ("arg a1: e1 ∨ (e2 ∧ ¬) => {Al1}", [("expected an atom, '!' or '(' before ')'", 4, 21)]),
+    ("arg a1: ¬e1 ∧ bogus => {Al1}", [("unknown atom 'bogus'", 4, 15)]),
+    ("arg a1: e1 e2 => {Al1}", [("trailing input before 'e2'", 4, 12)]),
+    ("arg a1: e1) => {Al1}", [("trailing input before ')'", 4, 11)]),
+    ("arg a1: e1 => {Al1} {Al2}", [("trailing input before '{'", 4, 21)]),
+    ("arg a1: e1 =>\t{Al1}\t)", [("trailing input before ')'", 4, 21)]),
+    ("arg a1: (e1 & e2 => {Al1}", [("expected ')' at end of formula", 4, 17)]),
+    ("arg a1: ((e1) => {Al1}", [("expected ')' at end of formula", 4, 14)]),
+    ("arg a1:   => {Al1}", [("empty formula", 4, 11)]),
+    ("arg a1: e1 & (e2 | !) => {Al1}", [("expected an atom, '!' or '(' before ')'", 4, 21)]),
+    ("arg a1: e1 & é => {Al1}", [("unexpected character 'é'", 4, 14)]),
+    ("arg a1: e1\xa0& e2 => {Al1}", [("unexpected character '\\xa0'", 4, 11)]),
+    ("arg a1: e1 => !{", [("expected 'ident' at end of formula", 4, 17)]),
+    ("arg a1: e1 => {Al1,}", [("expected 'ident' before '}'", 4, 20)]),
+    ("arg a1: e1 => {Al1, Zed}", [("unknown alternative 'Zed'", 4, 21)]),
+    ("arg a1: e1 => { Al1 Al2 }", [("expected '}' before 'Al2'", 4, 21)]),
+    ("arg a1: e1 => {Al1; Al2}", [("unexpected character ';'", 4, 19)]),
+    ("arg a1: e1 => !!{Al1}", [("expected '{' before '!'", 4, 16)]),
+    ("refute: e1 => !{Al4}", [("unknown alternative 'Al4'", 4, 17)]),
+    ("refute:\te1 ∧ $ => {Al1} complement_set", [("unexpected character '$'", 4, 14)]),
+    ("rel: pres(e1 & (e2) < pres(e1)", [("unbalanced 'pres('", 6, 6)]),
+    ("rel: pres(e1) < pres(e1 | e2", [("unbalanced 'pres('", 6, 17)]),
+    ("rel: pres(e1) < pres( zz & e1 )", [("unknown atom 'zz'", 6, 23)]),
+    ("rel:  pres(\t¬ zz) ~ pres(e1)", [("unknown atom 'zz'", 6, 15)]),
+    ("rel: pres() < pres(e1)", [("empty formula", 6, 11)]),
+    ("rel: pres(e1 e2) <= pres(e1)", [("trailing input before 'e2'", 6, 14)]),
+]
+
+
+@pytest.mark.parametrize("line, expected", PINNED_ERRORS)
+def test_formula_and_conclusion_errors_are_pinned(line, expected):
+    body = "arg a1: e1 => {Al1}\narg a2: e2 => {Al2}\n" if line.startswith("rel") else ""
+    errors = parse_errors(HEADER + body + line + "\n")
+    assert [(e.message, e.line, e.column) for e in errors] == expected
+
+
 def test_errors_found_at_structure_build_time_point_at_their_lines():
     body = "arg a1: e1 => {Al1}\nrel: a1 < zz\n"
     (err,) = parse_errors(HEADER + body)
@@ -235,6 +284,65 @@ def test_validation_failures_surface_as_parse_errors():
     )
     errors = parse_errors(text)
     assert any("conjunction_lifting" in e.message for e in errors)
+
+
+def test_each_distinct_text_is_parsed_once_per_document(monkeypatch):
+    formulas, conclusions = [], []
+    build, conclude = dsl.build_sentence, dsl.parse_conclusion
+
+    def counted_build(frame, text, *where):
+        formulas.append(text.strip())
+        return build(frame, text, *where)
+
+    def counted_conclude(frame, text, *where):
+        conclusions.append(text.strip())
+        return conclude(frame, text, *where)
+
+    monkeypatch.setattr(dsl, "build_sentence", counted_build)
+    monkeypatch.setattr(dsl, "parse_conclusion", counted_conclude)
+    body = (
+        "arg a1: e1 & e2 => {Al1}\n"
+        "arg a2:   e1 & e2   =>   {Al1}\n"
+        "arg a3: e1&e2 => { Al1 }\n"
+        "refute: e1 & e2 => {Al1} complement_set\n"
+        "rel: pres(e1 & e2) < pres( e1 )\n"
+        "rel: pres(e1) <= pres(e1&e2)\n"
+    )
+    document = parse_document(HEADER + body)
+    assert formulas == ["e1 & e2", "e1&e2", "e1"]  # 6 formulas before the memo
+    assert conclusions == ["{Al1}", "{ Al1 }"]  # 4 before
+    first, second, third, refute, rel, _ = document.body
+    assert second.presumption is first.presumption is refute.presumption
+    assert rel.left is first.presumption
+    # The memo keys on text, so equal masks keep the text they were written as.
+    assert third.presumption == first.presumption
+    assert third.presumption.describe() == "e1&e2"
+    assert document.serialize().splitlines()[5:] == [
+        "arg a1: e1 & e2 => {Al1}",
+        "arg a2: e1 & e2 => {Al1}",
+        "arg a3: e1&e2 => { Al1 }",
+        "refute: e1 & e2 => {Al1} complement_set",
+        "rel: pres(e1 & e2) < pres(e1)",
+        "rel: pres(e1) <= pres(e1&e2)",
+    ]
+
+
+def test_a_repeated_bad_text_is_reported_at_each_occurrence():
+    body = (
+        "arg a1: e1 & zz => {Al1}\n"
+        "arg a2:    e1 & zz => {Al2}\n"
+        "rel: pres(e1 & zz) < pres(e1)\n"
+        "arg a3: e1 => {Zed}\n"
+        "arg a4: e2 =>  {Zed}\n"
+    )
+    errors = parse_errors(HEADER + body)
+    assert [(e.message, e.line, e.column) for e in errors] == [
+        ("unknown atom 'zz'", 4, 14),
+        ("unknown atom 'zz'", 5, 17),
+        ("unknown atom 'zz'", 6, 16),
+        ("unknown alternative 'Zed'", 7, 16),
+        ("unknown alternative 'Zed'", 8, 17),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -318,3 +426,40 @@ def test_random_document_round_trips():
         reparsed = parse_document(canonical)
         assert reparsed.serialize() == canonical
         assert_same_semantics(document, reparsed)
+
+
+def test_memoised_parse_matches_a_direct_parse_of_each_line():
+    rng = random.Random(20261018)
+    for _ in range(150):
+        text = random_document_text(rng)
+        # Repeat every argument under a new label, so formulas recur, and
+        # write its conjunctions without blanks, so equal masks get new text.
+        text += "".join(
+            line.replace("arg t", "arg u", 1).replace(" & ", "&") + "\n"
+            for line in text.splitlines()
+            if line.startswith("arg ")
+        )
+        lines = text.splitlines()
+        document = parse_document(text)
+        evidence, conclusions = document.evidence_frame, document.conclusion_frame
+        for decl in document.body:
+            if isinstance(decl, ArgDecl):
+                parsed = [(decl.presumption, decl.formula_text),
+                          (decl.conclusion, decl.conclusion_text)]
+            elif isinstance(decl, RefuteDecl):
+                parsed = [(decl.presumption, decl.formula_text),
+                          (decl.refuted, decl.conclusion_text)]
+            elif decl.level == "presumption":
+                parsed = [(decl.left, decl.left_text), (decl.right, decl.right_text)]
+            else:
+                continue
+            for sentence, written in parsed:
+                assert written in lines[decl.line - 1]
+                if isinstance(sentence, EvidenceSentence):
+                    direct = build_sentence(evidence, written)
+                    assert sentence.text == direct.text == written
+                else:
+                    direct = parse_conclusion(conclusions, written)
+                assert sentence == direct
+        canonical = document.serialize()
+        assert parse_document(canonical).serialize() == canonical

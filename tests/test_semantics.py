@@ -157,6 +157,21 @@ def test_atom_bit_convention():
         assert build_sentence(THREE, name).models == expected
 
 
+def test_atom_masks_match_the_valuation_definition():
+    for n in range(1, 13):
+        frame = EvidenceFrame(tuple(f"a{i}" for i in range(n)))
+        for i, name in enumerate(frame.atoms):
+            expected = sum(1 << v for v in range(frame.valuations) if v >> i & 1)
+            assert build_sentence(frame, name).models == expected
+    frame = EvidenceFrame(tuple(f"a{i}" for i in range(16)))
+    sampled = random.Random(16).sample(range(frame.valuations), 400)
+    for i, name in enumerate(frame.atoms):
+        models = build_sentence(frame, name).models
+        assert models >> frame.valuations == 0
+        for v in sampled + [0, frame.valuations - 1]:
+            assert models >> v & 1 == v >> i & 1
+
+
 def test_unicode_connectives_are_aliases():
     assert (
         build_sentence(THREE, "¬w ∧ (x ∨ y)").models
@@ -275,6 +290,28 @@ def test_sentence_errors_are_located_where_the_text_sits():
     with pytest.raises(FormulaError) as caught:
         parse_conclusion(ALTS, " {A, D}", line=2, column=5)
     assert (caught.value.line, caught.value.column) == (2, 10)
+
+
+# Recorded before the tokenizer became one regex scan.
+PINNED_SENTENCE_ERRORS = [
+    ("formula", "\t w ∧ (x ∨ ", 3, 7, ("expected an atom, '!' or '(' at end of formula", 3, 17)),
+    ("formula", " \t ", 2, 4, ("empty formula", 2, 4)),
+    ("formula", "w & $ x", 1, 1, ("unexpected character '$'", 1, 5)),
+    ("formula", "  w  y", 6, 9, ("trailing input before 'y'", 6, 14)),
+    ("formula", "(w | (x)", 1, 1, ("expected ')' at end of formula", 1, 9)),
+    ("conclusion", "\t!{A,}", 5, 2, ("expected 'ident' before '}'", 5, 7)),
+    ("conclusion", " {A} x", 1, 3, ("trailing input before 'x'", 1, 8)),
+    ("conclusion", "{A, Q}", 2, 2, ("unknown alternative 'Q'", 2, 6)),
+    ("conclusion", "", 4, 4, ("empty conclusion", 4, 4)),
+]
+
+
+@pytest.mark.parametrize("kind, text, line, column, expected", PINNED_SENTENCE_ERRORS)
+def test_sentence_errors_are_pinned(kind, text, line, column, expected):
+    parse = build_sentence if kind == "formula" else parse_conclusion
+    with pytest.raises(FormulaError) as caught:
+        parse(THREE if kind == "formula" else ALTS, text, line, column)
+    assert (caught.value.message, caught.value.line, caught.value.column) == expected
 
 
 def test_mixed_frames_are_rejected():
