@@ -17,7 +17,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import dataclasses
 
 from res import (
     build_closure,
@@ -30,6 +29,7 @@ from res import (
     parse_document,
     rank,
     render,
+    replace,
 )
 
 BEFORE = "e1 & e12 & !e2 & !e23 & !e13"
@@ -39,7 +39,7 @@ AFTER = "e1 & e2 & e12 & e23 & e13"
 def build(lifting: bool):
     document = parse_document(fixture_text("hominids.res"))
     if lifting:
-        document.options = dataclasses.replace(
+        document.options = replace(
             document.options, conjunction_lifting=True
         )
     structure = document.to_structure()

@@ -21,6 +21,7 @@ Typical use::
                       conclusion_of(structure.conclusion_frame, ["Al2"]))
 """
 
+from ._record import replace
 from .conditioning import ConditionedStructure, condition
 from .decision import (
     ComparisonVerdict,
@@ -129,6 +130,7 @@ __all__ = [
     "parse_conclusion",
     "parse_document",
     "rank",
+    "replace",
     "supports_of",
     "__version__",
 ]

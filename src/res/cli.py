@@ -18,10 +18,10 @@ Exit codes: 0 on success, 1 on usage, parse or declaration errors, 2 when
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 from . import render
+from ._record import replace
 from .conditioning import condition
 from .decision import candidate_sentences, compare, explain, is_plausible, hasse, rank
 from .dsl import StructureDocument, parse_document
@@ -126,7 +126,7 @@ def _operand(frame: ConclusionFrame, text: str) -> ConclusionSentence:
 def _apply_overrides(document: StructureDocument, overrides: list[str]) -> None:
     try:
         values = dict(parse_option(item) for item in overrides)
-        document.options = dataclasses.replace(document.options, **values)
+        document.options = replace(document.options, **values)
     except DeclarationError as err:
         items = ", ".join(repr(item) for item in overrides)
         raise ResError(f"bad --set {items}: {err}") from None

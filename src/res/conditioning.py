@@ -15,16 +15,16 @@ conjunction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
+from ._record import record
 from .errors import EvidenceError, UsageError
 from .order import OrderClosure
 from .semantics import EvidenceSentence
 from .structure import Argument, EvidenceStructure
 
 
-@dataclass(frozen=True)
+@record
 class ConditionedStructure:
     """A read-only view of a structure under one observation.
 

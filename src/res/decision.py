@@ -23,9 +23,9 @@ strong as one of S(q).  Then p <= q is ``S(p) & ~D(q) == 0``, or
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
+from ._record import record
 from .conditioning import ConditionedStructure
 from .errors import ResError, UsageError
 from .order import ChainStep
@@ -107,7 +107,7 @@ def is_plausible(conditioned: ConditionedStructure, p: ConclusionSentence) -> bo
     )
 
 
-@dataclass(frozen=True)
+@record
 class RankResult:
     """Pairwise verdicts over a candidate list, with nothing invented.
 
@@ -160,7 +160,7 @@ def _verdict_matrix(conditioned, candidates):
     return matrix
 
 
-@dataclass(frozen=True)
+@record
 class HasseDiagram:
     """Candidates grouped into equal-believability classes, with cover edges.
 
@@ -204,7 +204,7 @@ def hasse(
     )
 
 
-@dataclass(frozen=True)
+@record
 class SupportMatch:
     """One support of the weaker side and what, if anything, outweighs it."""
 
@@ -213,7 +213,7 @@ class SupportMatch:
     provenance: tuple[ChainStep, ...] = ()
 
 
-@dataclass(frozen=True)
+@record
 class DirectionTrace:
     """Evidence for or against ``source <= target``.
 
@@ -238,7 +238,7 @@ class DirectionTrace:
         return tuple(m.support for m in self.matches if m.matched_by is None)
 
 
-@dataclass(frozen=True)
+@record
 class ExplanationTrace:
     left: ConclusionSentence
     right: ConclusionSentence

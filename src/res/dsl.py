@@ -19,10 +19,8 @@ and column, before giving up.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from importlib import resources
-from pathlib import Path
 
+from ._record import field, record
 from .errors import DeclarationError, FormulaError, ParseError, SourceError
 from .formula import IDENTIFIER
 from .semantics import (
@@ -53,7 +51,7 @@ _PRES_OPEN = re.compile(r"pres\s*\(")
 _REL_SYMBOLS = sorted(KIND_SYMBOLS.items(), key=lambda item: -len(item[1]))
 
 
-@dataclass(frozen=True)
+@record
 class ArgDecl:
     label: str | None
     presumption: EvidenceSentence
@@ -63,7 +61,7 @@ class ArgDecl:
     line: int
 
 
-@dataclass(frozen=True)
+@record
 class RefuteDecl:
     presumption: EvidenceSentence
     refuted: ConclusionSentence
@@ -73,7 +71,7 @@ class RefuteDecl:
     line: int
 
 
-@dataclass(frozen=True)
+@record
 class RelDecl:
     level: str
     kind: str
@@ -85,7 +83,7 @@ class RelDecl:
     column: int
 
 
-@dataclass
+@record(frozen=False)
 class StructureDocument:
     """The parsed, still declarative form of one structure."""
 
@@ -454,8 +452,9 @@ def load_structure(text: str) -> EvidenceStructure:
 
 def fixture_text(name: str) -> str:
     """Source text of a bundled fixture such as ``example1.res``."""
-    return resources.files("res").joinpath("fixtures", name).read_text()
+    return fixture_path(name).read_text()
 
 
 def fixture_path(name: str) -> Path:
-    return Path(str(resources.files("res").joinpath("fixtures", name)))
+    from pathlib import Path  # not at the top: the CLI never pays for it
+    return Path(__file__).with_name("fixtures") / name

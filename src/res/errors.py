@@ -8,7 +8,7 @@ carry one located message per problem.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ._record import record
 
 
 class ResError(Exception):
@@ -27,7 +27,7 @@ class EvidenceError(ResError):
     """The observed evidence is unsatisfiable; nothing can be conditioned on it."""
 
 
-@dataclass(frozen=True)
+@record
 class SourceError:
     """One located problem in a source text."""
 

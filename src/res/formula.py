@@ -15,7 +15,7 @@ report a line and column relative to the enclosing source text.
 from __future__ import annotations
 
 import re
-from typing import Mapping, NoReturn
+from collections.abc import Mapping
 
 from .errors import FormulaError
 
@@ -68,7 +68,7 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def fail(self, message: str) -> NoReturn:
+    def fail(self, message: str):
         kind, value, column = self.tokens[self.pos]
         shown = f" before {value!r}" if kind != "end" else " at end of formula"
         raise FormulaError(message + shown, self.line, column)

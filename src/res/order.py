@@ -27,9 +27,9 @@ each violation with a seed-by-seed provenance chain.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from itertools import combinations, permutations, product
 
+from ._record import field, record
 from .errors import UsageError
 from .structure import (
     EvidenceStructure,
@@ -48,7 +48,7 @@ SEED_SAME_PRESUMPTION = "same-presumption"
 SEED_LIFTING = "conjunction-lifting"
 
 
-@dataclass(frozen=True)
+@record
 class SeedReason:
     """Why one seed pair is in the relation."""
 
@@ -59,7 +59,7 @@ class SeedReason:
         return f"{self.kind}: {self.detail}" if self.detail else self.kind
 
 
-@dataclass(frozen=True)
+@record
 class ChainStep:
     """One seeded link ``lower`` is at most ``upper`` in a provenance chain."""
 
@@ -259,7 +259,7 @@ def _seed_lifting(structure: EvidenceStructure, seed) -> None:
                 seed((i, j), SEED_LIFTING)
 
 
-@dataclass(frozen=True)
+@record
 class Violation:
     """A declared strict/equal relation the closure fails to honour."""
 
@@ -280,7 +280,7 @@ class Violation:
         )
 
 
-@dataclass
+@record(frozen=False)
 class ConsistencyReport:
     violations: list[Violation] = field(default_factory=list)
 

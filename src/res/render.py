@@ -7,8 +7,6 @@ tooling can rely on the field names.
 
 from __future__ import annotations
 
-import json
-
 from .conditioning import ConditionedStructure
 from .decision import (
     ComparisonVerdict,
@@ -513,4 +511,5 @@ SCHEMAS = {
 
 
 def to_json(payload: dict) -> str:
+    import json  # only --format json needs it
     return json.dumps(payload, indent=2)

@@ -11,11 +11,11 @@ exact integer operation with no prover in sight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable
 from functools import lru_cache
-from typing import Iterable
 
 from . import formula as _formula
+from ._record import field, record
 from .errors import DeclarationError, UsageError
 
 MAX_ATOMS = 16
@@ -36,7 +36,7 @@ def _check_names(names: tuple[str, ...], what: str, cap: int) -> None:
         seen.add(name)
 
 
-@dataclass(frozen=True)
+@record
 class EvidenceFrame:
     """An ordered tuple of evidence atoms."""
 
@@ -45,18 +45,13 @@ class EvidenceFrame:
     def __post_init__(self):
         object.__setattr__(self, "atoms", tuple(self.atoms))
         _check_names(self.atoms, "atom", MAX_ATOMS)
+        # Derived once per frame; neither is a field, so neither is compared.
+        object.__setattr__(self, "valuations", 1 << len(self.atoms))
+        object.__setattr__(self, "full_mask", (1 << self.valuations) - 1)
 
     @property
     def size(self) -> int:
         return len(self.atoms)
-
-    @property
-    def valuations(self) -> int:
-        return 1 << len(self.atoms)
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.valuations) - 1
 
 
 @lru_cache(maxsize=None)
@@ -73,7 +68,7 @@ def _atom_masks(frame: EvidenceFrame) -> dict[str, int]:
     return masks
 
 
-@dataclass(frozen=True)
+@record
 class EvidenceSentence:
     """A set of valuations of an :class:`EvidenceFrame`.
 
@@ -193,7 +188,7 @@ def build_sentence(
     return EvidenceSentence(frame, mask, formula.strip())
 
 
-@dataclass(frozen=True)
+@record
 class ConclusionFrame:
     """An ordered tuple of mutually exclusive, exhaustive alternatives."""
 
@@ -202,14 +197,11 @@ class ConclusionFrame:
     def __post_init__(self):
         object.__setattr__(self, "alternatives", tuple(self.alternatives))
         _check_names(self.alternatives, "alternative", MAX_ALTERNATIVES)
+        object.__setattr__(self, "full_mask", (1 << len(self.alternatives)) - 1)
 
     @property
     def size(self) -> int:
         return len(self.alternatives)
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << len(self.alternatives)) - 1
 
 
 @lru_cache(maxsize=None)
@@ -217,7 +209,7 @@ def _alternative_bits(frame: ConclusionFrame) -> dict[str, int]:
     return {name: 1 << i for i, name in enumerate(frame.alternatives)}
 
 
-@dataclass(frozen=True)
+@record
 class ConclusionSentence:
     """A subset of the alternatives of a :class:`ConclusionFrame`."""
 

@@ -15,8 +15,7 @@ the closed relation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
-
+from ._record import field, fields, record, replace
 from .errors import DeclarationError, UsageError
 from .semantics import ConclusionFrame, ConclusionSentence, EvidenceFrame, EvidenceSentence
 
@@ -45,7 +44,7 @@ _POOL_SEALED = "its arguments are final once run_generation_passes() has run"
 _DECLARATIONS_SEALED = "its declarations are final once a closure is built from it"
 
 
-@dataclass(frozen=True)
+@record
 class Argument:
     """One argument: presume ``presumption``, conclude ``conclusion``.
 
@@ -64,7 +63,7 @@ class Argument:
         return f"{self.id}: {self.presumption.describe()} => {self.conclusion.describe()}"
 
 
-@dataclass(frozen=True)
+@record
 class RelationDeclaration:
     """One declared strength relation, at argument or presumption level."""
 
@@ -81,7 +80,7 @@ class RelationDeclaration:
         return f"pres({self.left.describe()}) {symbol} pres({self.right.describe()})"
 
 
-@dataclass(frozen=True)
+@record
 class StructureOptions:
     """Behaviour toggles for building and closing a structure.
 
@@ -131,7 +130,7 @@ def parse_option(item: str) -> tuple[str, bool | int]:
         raise DeclarationError(f"option {name} expects an integer, got {raw!r}") from None
 
 
-@dataclass
+@record(frozen=False)
 class ValidationReport:
     errors: list[str] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)

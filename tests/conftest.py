@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
-from res import build_closure, fixture_text, load_structure
+from res import build_closure, fixture_text, load_structure, replace
 from res.dsl import parse_document
 
 
@@ -25,7 +23,7 @@ def hominids():
 @pytest.fixture(scope="session")
 def hominids_lifting():
     document = parse_document(fixture_text("hominids.res"))
-    document.options = dataclasses.replace(
+    document.options = replace(
         document.options, conjunction_lifting=True
     )
     structure = document.to_structure()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import random
 import re
 import shutil
@@ -96,6 +97,25 @@ def test_console_script_is_installed():
     executable = shutil.which("res")
     if executable:
         _assert_check_ok([executable])
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_json():
+    """One fresh CLI process: the imports it paid for, then a JSON golden."""
+    probe = (
+        "import sys; from res.cli import main; "
+        "loaded = {'dataclasses', 'inspect', 'json'} & set(sys.modules); "
+        "print(*sorted(loaded), file=sys.stderr); sys.exit(main(sys.argv[1:]))"
+    )
+    output, argv = next(entry for entry in MANIFEST if entry[0].endswith(".json"))
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    # -S: no site hook loads a module on the interpreter's behalf.
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe, *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": package_root},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr.strip() == ""
+    assert result.stdout == fixture_path(f"expected/{output}").read_text()
 
 
 # ---------------------------------------------------------------------------

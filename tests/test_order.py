@@ -22,6 +22,7 @@ from res import (
     fixture_text,
     load_structure,
     parse_document,
+    replace,
 )
 from res import order
 
@@ -251,7 +252,7 @@ def test_regrouped_seeding_matches_oracle(same_presumption_equal):
         conjunction_lifting=True,
     )
     document = parse_document(REGROUP_DOCUMENT)
-    document.options = dataclasses.replace(
+    document.options = replace(
         document.options, same_presumption_equal=same_presumption_equal
     )
     structure = document.to_structure()
@@ -291,7 +292,7 @@ def test_the_built_structure_cannot_be_changed():
     # ... the frames and options are read-only, and the declared relations
     # change only through the checked declare_* methods.
     with pytest.raises(AttributeError):
-        structure.options = dataclasses.replace(options, same_presumption_equal=False)
+        structure.options = replace(options, same_presumption_equal=False)
     with pytest.raises(AttributeError):
         structure.evidence_frame = EvidenceFrame(("z", "w"))
     with pytest.raises(AttributeError):
@@ -637,7 +638,7 @@ def test_seed_reasons_are_built_on_demand(monkeypatch):
     real = order.SeedReason
     monkeypatch.setattr(order, "SeedReason", counting)
     document = parse_document(fixture_text("hominids.res"))
-    document.options = dataclasses.replace(document.options, conjunction_lifting=True)
+    document.options = replace(document.options, conjunction_lifting=True)
     structure = document.to_structure()
     closure = build_closure(structure)
     assert len(closure._seeds) == 146 and made == []

@@ -172,6 +172,21 @@ def test_atom_masks_match_the_valuation_definition():
             assert models >> v & 1 == v >> i & 1
 
 
+def test_frame_masks_are_built_once_and_frames_compare_by_name():
+    names = tuple(f"a{i}" for i in range(16))
+    frame = EvidenceFrame(names)
+    assert frame.full_mask is frame.full_mask, "full_mask is rebuilt on every read"
+    assert frame.full_mask == (1 << 65536) - 1 and frame.valuations == 65536
+    alternatives = ConclusionFrame(tuple(f"A{i}" for i in range(24)))
+    assert alternatives.full_mask is alternatives.full_mask
+    # The derived values take no part in equality or hashing.
+    assert frame == EvidenceFrame(list(names)) and hash(frame) == hash(EvidenceFrame(names))
+    assert frame != EvidenceFrame(names[:15])
+    assert EvidenceFrame(("a", "b")) != EvidenceFrame(("b", "a"))
+    assert alternatives == ConclusionFrame(alternatives.alternatives)
+    assert hash(alternatives) == hash(ConclusionFrame(alternatives.alternatives))
+
+
 def test_unicode_connectives_are_aliases():
     assert (
         build_sentence(THREE, "¬w ∧ (x ∨ y)").models

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from res import (
@@ -20,6 +18,7 @@ from res import (
     conclusion_of,
     fixture_text,
     parse_document,
+    replace,
 )
 from res.structure import parse_option
 
@@ -224,7 +223,7 @@ def test_generation_passes_are_idempotent():
 
 def test_the_disjunction_cap_budgets_the_whole_structure():
     document = parse_document(fixture_text("example1.res"))
-    document.options = dataclasses.replace(
+    document.options = replace(
         document.options, disjunction_closure=True, disjunction_closure_cap=4
     )
     s = document.to_structure()
@@ -260,7 +259,7 @@ def test_option_problems():
     with pytest.raises(DeclarationError, match="must be positive"):
         StructureOptions(disjunction_closure_cap=0)
     with pytest.raises(DeclarationError, match="requires conjunction_arguments"):
-        dataclasses.replace(
+        replace(
             StructureOptions(conjunction_arguments=True, conjunction_lifting=True),
             conjunction_arguments=False,
         )
