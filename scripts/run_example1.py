@@ -46,13 +46,12 @@ def run_case(structure, closure, title, formula, fmt):
 
     print(f"== {title}: given {formula}")
     if fmt == "json":
-        print(render.to_json(render.rank_json(conditioned, result)))
+        print(render.rank_json(conditioned, result))
     else:
         print(render.condition_text(conditioned))
         print()
         print(render.rank_text(conditioned, result))
-    print(f"plausible({al1.describe()}): "
-          f"{str(is_plausible(conditioned, al1)).lower()}")
+    print(render.plausible_text(conditioned, al1, is_plausible(conditioned, al1)))
     print()
 
 
@@ -71,7 +70,7 @@ def show_refinement(fmt):
     trace = explain(conditioned, al1, al3)
     print("== both atoms hold, with rel: pres(e2) < pres(e1)")
     if fmt == "json":
-        print(render.to_json(render.explain_json(conditioned, trace)))
+        print(render.explain_json(conditioned, trace))
     else:
         print(render.explain_text(conditioned, trace))
     print()

@@ -56,7 +56,7 @@ def show(structure, closure, title, formula, dot: bool):
     print()
     diagram = hasse(conditioned, candidates)
     if dot:
-        print(render.diagram_dot(diagram))
+        print(render.diagram_dot(conditioned, diagram))
     else:
         print(render.diagram_text(conditioned, diagram))
     print()

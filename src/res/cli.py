@@ -140,92 +140,47 @@ def _load(args) -> "StructureDocument":
     return document
 
 
-def _emit(args, text, payload) -> None:
-    """Render and print only the requested format."""
-    print(render.to_json(payload()) if args.format == "json" else text())
-
-
-def _run(args) -> int:
-    document = _load(args)
-    structure = document.to_structure()
-
+def _query(args, structure) -> tuple:
+    """Answer the query *args* names; return the arguments of its views."""
     if args.command == "check":
         validation = structure.validate()
-        closure = build_closure(structure)
-        consistency = check_consistency(closure, structure)
-        _emit(
-            args,
-            lambda: render.check_text(structure, validation, consistency),
-            lambda: render.check_json(structure, validation, consistency),
-        )
-        return 0 if consistency.ok else 2
+        consistency = check_consistency(build_closure(structure), structure)
+        return structure, validation, consistency
 
     closure = build_closure(structure)
     given = build_sentence(structure.evidence_frame, args.given)
     conditioned = condition(structure, closure, given)
 
     if args.command == "condition":
-        _emit(
-            args,
-            lambda: render.condition_text(conditioned),
-            lambda: render.condition_json(conditioned),
-        )
-        return 0
+        return (conditioned,)
 
     frame = structure.conclusion_frame
     if args.command in ("compare", "explain"):
         left = _operand(frame, args.left)
         right = _operand(frame, args.right)
         if args.command == "compare":
-            verdict = compare(conditioned, left, right)
-            _emit(
-                args,
-                lambda: render.compare_text(left, right, verdict),
-                lambda: render.compare_json(conditioned, left, right, verdict),
-            )
-        else:
-            trace = explain(conditioned, left, right)
-            _emit(
-                args,
-                lambda: render.explain_text(conditioned, trace),
-                lambda: render.explain_json(conditioned, trace),
-            )
-        return 0
+            return conditioned, left, right, compare(conditioned, left, right)
+        return conditioned, explain(conditioned, left, right)
 
     if args.command == "plausible":
         sentence = _operand(frame, args.sentence)
-        result = is_plausible(conditioned, sentence)
-        _emit(
-            args,
-            lambda: render.plausible_text(sentence, result),
-            lambda: render.plausible_json(conditioned, sentence, result),
-        )
-        return 0
+        return conditioned, sentence, is_plausible(conditioned, sentence)
 
     # rank and diagram share their candidate handling
     if args.operands:
         candidates = [_operand(frame, item) for item in args.operands]
     else:
         candidates = candidate_sentences(frame, args.candidates)
+    query = rank if args.command == "rank" else hasse
+    return conditioned, query(conditioned, candidates)
 
-    if args.command == "rank":
-        result = rank(conditioned, candidates)
-        _emit(
-            args,
-            lambda: render.rank_text(conditioned, result),
-            lambda: render.rank_json(conditioned, result),
-        )
-        return 0
 
-    diagram = hasse(conditioned, candidates)
-    if args.format == "dot":
-        print(render.diagram_dot(diagram))
-    else:
-        _emit(
-            args,
-            lambda: render.diagram_text(conditioned, diagram),
-            lambda: render.diagram_json(conditioned, diagram),
-        )
+def _run(args) -> int:
+    inputs = _query(args, _load(args).to_structure())
+    # Looked up at call time, so a rebound view is the one that runs.
+    print(getattr(render, f"{args.command}_{args.format}")(*inputs))
+    if args.command == "check" and not inputs[-1].ok:
+        return 2  # the closure collapsed a declared strict relation
     return 0
 
 

@@ -1,8 +1,11 @@
 """Rendering query results as text, JSON, or DOT.
 
+``<command>_<format>`` is the one view of each pair the CLI offers; the views
+of a command take the same arguments and return the text to print.
+
 All output is deterministic: identical inputs give byte-identical bytes.
-The JSON shapes are pinned by the schemas in :data:`SCHEMAS` so downstream
-tooling can rely on the field names.
+The JSON shapes are pinned by the schemas in ``tests/schemas.json`` so
+downstream tooling can rely on the field names.
 """
 
 from __future__ import annotations
@@ -24,7 +27,10 @@ VERDICT_SYMBOLS = {
     ComparisonVerdict.INCOMPARABLE: "#",
 }
 
-_VERDICT_NAMES = [v.value for v in ComparisonVerdict]
+
+def _json(payload: dict) -> str:
+    import json  # only --format json needs it
+    return json.dumps(payload, indent=2)
 
 
 def _short(sentence) -> str:
@@ -95,8 +101,8 @@ def check_json(
     structure: EvidenceStructure,
     validation: ValidationReport,
     consistency: ConsistencyReport,
-) -> dict:
-    return {
+) -> str:
+    return _json({
         "command": "check",
         "structure": structure.name,
         "arguments": len(structure.arguments),
@@ -112,7 +118,7 @@ def check_json(
             for v in consistency.violations
         ],
         "ok": validation.ok and consistency.ok,
-    }
+    })
 
 
 # -- condition ---------------------------------------------------------------
@@ -133,8 +139,8 @@ def condition_text(conditioned: ConditionedStructure) -> str:
     return header + "\n" + _table(["id", "presumption", "conclusion", "origins"], rows)
 
 
-def condition_json(conditioned: ConditionedStructure) -> dict:
-    return {
+def condition_json(conditioned: ConditionedStructure) -> str:
+    return _json({
         "command": "condition",
         "structure": conditioned.structure.name,
         "given": conditioned.given.describe(),
@@ -147,40 +153,38 @@ def condition_json(conditioned: ConditionedStructure) -> dict:
             }
             for a in conditioned.triggered
         ],
-    }
+    })
 
 
 # -- compare / plausible -----------------------------------------------------
 
 
-def compare_text(left, right, verdict: ComparisonVerdict) -> str:
+def compare_text(conditioned: ConditionedStructure, left, right, verdict) -> str:
     return f"{left.describe()} vs {right.describe()}: {verdict.value}"
 
 
-def compare_json(
-    conditioned: ConditionedStructure, left, right, verdict: ComparisonVerdict
-) -> dict:
-    return {
+def compare_json(conditioned: ConditionedStructure, left, right, verdict) -> str:
+    return _json({
         "command": "compare",
         "given": conditioned.given.describe(),
         "left": left.describe(),
         "right": right.describe(),
         "verdict": verdict.value,
-    }
+    })
 
 
-def plausible_text(p, result: bool) -> str:
+def plausible_text(conditioned: ConditionedStructure, p, result: bool) -> str:
     return f"plausible({p.describe()}): {'true' if result else 'false'}"
 
 
-def plausible_json(conditioned, p, result: bool) -> dict:
-    return {
+def plausible_json(conditioned: ConditionedStructure, p, result: bool) -> str:
+    return _json({
         "command": "plausible",
         "given": conditioned.given.describe(),
         "sentence": p.describe(),
         "complement": p.complement().describe(),
         "plausible": result,
-    }
+    })
 
 
 # -- rank --------------------------------------------------------------------
@@ -201,15 +205,15 @@ def rank_text(conditioned: ConditionedStructure, result: RankResult) -> str:
     return "\n".join(lines)
 
 
-def rank_json(conditioned: ConditionedStructure, result: RankResult) -> dict:
-    return {
+def rank_json(conditioned: ConditionedStructure, result: RankResult) -> str:
+    return _json({
         "command": "rank",
         "given": conditioned.given.describe(),
         "candidates": [c.describe() for c in result.candidates],
         "maximal": [c.describe() for c in result.maximal],
         "strata": [[c.describe() for c in layer] for layer in result.strata],
         "matrix": [[v.value for v in row] for row in result.matrix],
-    }
+    })
 
 
 # -- diagram -----------------------------------------------------------------
@@ -234,16 +238,16 @@ def diagram_text(conditioned: ConditionedStructure, diagram: HasseDiagram) -> st
     return "\n".join(lines)
 
 
-def diagram_json(conditioned: ConditionedStructure, diagram: HasseDiagram) -> dict:
-    return {
+def diagram_json(conditioned: ConditionedStructure, diagram: HasseDiagram) -> str:
+    return _json({
         "command": "diagram",
         "given": conditioned.given.describe(),
         "classes": [[c.describe() for c in group] for group in diagram.classes],
         "edges": [list(edge) for edge in diagram.edges],
-    }
+    })
 
 
-def diagram_dot(diagram: HasseDiagram) -> str:
+def diagram_dot(conditioned: ConditionedStructure, diagram: HasseDiagram) -> str:
     lines = ["digraph believability {", "  rankdir=BT;"]
     for i, group in enumerate(diagram.classes):
         label = _class_label(group).replace('"', '\\"')
@@ -285,13 +289,13 @@ def _direction_text(conditioned, direction) -> list[str]:
 
 
 def explain_text(conditioned: ConditionedStructure, trace: ExplanationTrace) -> str:
-    lines = [compare_text(trace.left, trace.right, trace.verdict)]
+    lines = [compare_text(conditioned, trace.left, trace.right, trace.verdict)]
     lines.extend(_direction_text(conditioned, trace.forward))
     lines.extend(_direction_text(conditioned, trace.backward))
     return "\n".join(lines)
 
 
-def explain_json(conditioned: ConditionedStructure, trace: ExplanationTrace) -> dict:
+def explain_json(conditioned: ConditionedStructure, trace: ExplanationTrace) -> str:
     def direction(d):
         return {
             "source": d.source.describe(),
@@ -312,204 +316,11 @@ def explain_json(conditioned: ConditionedStructure, trace: ExplanationTrace) -> 
             "target_supports": list(d.target_supports),
         }
 
-    return {
+    return _json({
         "command": "explain",
         "given": conditioned.given.describe(),
         "left": trace.left.describe(),
         "right": trace.right.describe(),
         "verdict": trace.verdict.value,
         "directions": [direction(trace.forward), direction(trace.backward)],
-    }
-
-
-# -- JSON schemas ------------------------------------------------------------
-
-_PROVENANCE_SCHEMA = {
-    "type": "array",
-    "items": {
-        "type": "object",
-        "properties": {
-            "lower": {"type": "string"},
-            "upper": {"type": "string"},
-            "reason": {"type": "string"},
-            "detail": {"type": "string"},
-        },
-        "required": ["lower", "upper", "reason"],
-        "additionalProperties": False,
-    },
-}
-
-_DIRECTION_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "source": {"type": "string"},
-        "target": {"type": "string"},
-        "holds": {"type": "boolean"},
-        "source_supported": {"type": "boolean"},
-        "supports": {"type": "array", "items": {"type": "string"}},
-        "matches": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "properties": {
-                    "support": {"type": "string"},
-                    "matched_by": {"type": "string"},
-                    "provenance": _PROVENANCE_SCHEMA,
-                },
-                "required": ["support", "matched_by", "provenance"],
-                "additionalProperties": False,
-            },
-        },
-        "unmatched": {"type": "array", "items": {"type": "string"}},
-        "target_supports": {"type": "array", "items": {"type": "string"}},
-    },
-    "required": ["source", "target", "holds", "supports", "matches", "unmatched"],
-    "additionalProperties": False,
-}
-
-SCHEMAS = {
-    "check": {
-        "type": "object",
-        "properties": {
-            "command": {"const": "check"},
-            "structure": {"type": "string"},
-            "arguments": {"type": "integer", "minimum": 0},
-            "declarations": {"type": "integer", "minimum": 0},
-            "errors": {"type": "array", "items": {"type": "string"}},
-            "warnings": {"type": "array", "items": {"type": "string"}},
-            "violations": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "properties": {
-                        "declaration": {"type": "string"},
-                        "counter": {
-                            "type": "array",
-                            "items": {"type": "string"},
-                            "minItems": 2,
-                            "maxItems": 2,
-                        },
-                        "provenance": _PROVENANCE_SCHEMA,
-                    },
-                    "required": ["declaration", "counter", "provenance"],
-                    "additionalProperties": False,
-                },
-            },
-            "ok": {"type": "boolean"},
-        },
-        "required": ["command", "structure", "errors", "warnings", "violations", "ok"],
-        "additionalProperties": False,
-    },
-    "condition": {
-        "type": "object",
-        "properties": {
-            "command": {"const": "condition"},
-            "structure": {"type": "string"},
-            "given": {"type": "string"},
-            "triggered": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "properties": {
-                        "id": {"type": "string"},
-                        "presumption": {"type": "string"},
-                        "conclusion": {"type": "string"},
-                        "origins": {"type": "array", "items": {"type": "string"}},
-                    },
-                    "required": ["id", "presumption", "conclusion", "origins"],
-                    "additionalProperties": False,
-                },
-            },
-        },
-        "required": ["command", "structure", "given", "triggered"],
-        "additionalProperties": False,
-    },
-    "compare": {
-        "type": "object",
-        "properties": {
-            "command": {"const": "compare"},
-            "given": {"type": "string"},
-            "left": {"type": "string"},
-            "right": {"type": "string"},
-            "verdict": {"enum": _VERDICT_NAMES},
-        },
-        "required": ["command", "given", "left", "right", "verdict"],
-        "additionalProperties": False,
-    },
-    "plausible": {
-        "type": "object",
-        "properties": {
-            "command": {"const": "plausible"},
-            "given": {"type": "string"},
-            "sentence": {"type": "string"},
-            "complement": {"type": "string"},
-            "plausible": {"type": "boolean"},
-        },
-        "required": ["command", "given", "sentence", "plausible"],
-        "additionalProperties": False,
-    },
-    "rank": {
-        "type": "object",
-        "properties": {
-            "command": {"const": "rank"},
-            "given": {"type": "string"},
-            "candidates": {"type": "array", "items": {"type": "string"}},
-            "maximal": {"type": "array", "items": {"type": "string"}},
-            "strata": {
-                "type": "array",
-                "items": {"type": "array", "items": {"type": "string"}},
-            },
-            "matrix": {
-                "type": "array",
-                "items": {"type": "array", "items": {"enum": _VERDICT_NAMES}},
-            },
-        },
-        "required": ["command", "given", "candidates", "maximal", "strata", "matrix"],
-        "additionalProperties": False,
-    },
-    "diagram": {
-        "type": "object",
-        "properties": {
-            "command": {"const": "diagram"},
-            "given": {"type": "string"},
-            "classes": {
-                "type": "array",
-                "items": {"type": "array", "items": {"type": "string"}},
-            },
-            "edges": {
-                "type": "array",
-                "items": {
-                    "type": "array",
-                    "items": {"type": "integer", "minimum": 0},
-                    "minItems": 2,
-                    "maxItems": 2,
-                },
-            },
-        },
-        "required": ["command", "given", "classes", "edges"],
-        "additionalProperties": False,
-    },
-    "explain": {
-        "type": "object",
-        "properties": {
-            "command": {"const": "explain"},
-            "given": {"type": "string"},
-            "left": {"type": "string"},
-            "right": {"type": "string"},
-            "verdict": {"enum": _VERDICT_NAMES},
-            "directions": {
-                "type": "array",
-                "items": _DIRECTION_SCHEMA,
-                "minItems": 2,
-                "maxItems": 2,
-            },
-        },
-        "required": ["command", "given", "left", "right", "verdict", "directions"],
-        "additionalProperties": False,
-    },
-}
-
-
-def to_json(payload: dict) -> str:
-    import json  # only --format json needs it
-    return json.dumps(payload, indent=2)
+    })

@@ -132,6 +132,13 @@ def parse_option(item: str) -> tuple[str, bool | int]:
 
 @record(frozen=False)
 class ValidationReport:
+    """What :meth:`EvidenceStructure.validate` found.
+
+    ``errors`` is always empty now that :meth:`~EvidenceStructure.validate`
+    only warns.  It stays because ``check --format json`` prints it and
+    callers read :attr:`ok`.
+    """
+
     errors: list[str] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -13,7 +15,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import jsonschema
 import pytest
 
 from res import cli, fixture_path, render
@@ -41,6 +42,7 @@ def _manifest():
     return entries
 
 MANIFEST = _manifest()
+SCHEMAS = json.loads((Path(__file__).parent / "schemas.json").read_text())
 
 
 @pytest.mark.parametrize(
@@ -53,10 +55,48 @@ def test_golden_outputs(output, argv):
     assert first == expected
     _, second = run_cli(argv)
     assert second == first  # rendering is deterministic
-    if output.endswith(".json"):
-        jsonschema.validate(json.loads(first), render.SCHEMAS[argv[0]])
     if output.endswith(".dot"):
         assert_well_formed_dot(first)
+
+
+def test_json_goldens_match_their_schemas():
+    jsonschema = pytest.importorskip("jsonschema")
+    checked = 0
+    for output, argv in MANIFEST:
+        if output.endswith(".json"):
+            payload = json.loads(fixture_path(f"expected/{output}").read_text())
+            jsonschema.validate(payload, SCHEMAS[argv[0]])
+            checked += 1
+    assert checked
+
+
+def _offered_formats():
+    """Each subcommand of the parser with its ``--format`` choices."""
+    commands = next(
+        action for action in cli._build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return {
+        name: next(a.choices for a in sub._actions if a.dest == "format")
+        for name, sub in commands.choices.items()
+    }
+
+
+def test_each_command_and_format_has_one_view():
+    offered = _offered_formats()
+    views = {
+        name for name, value in vars(render).items()
+        if not name.startswith("_") and inspect.isfunction(value)
+        and value.__module__ == render.__name__
+    }
+    assert views == {f"{c}_{f}" for c, formats in offered.items() for f in formats}
+    for command, formats in offered.items():
+        signatures = {
+            tuple(inspect.signature(getattr(render, f"{command}_{f}")).parameters)
+            for f in formats
+        }
+        assert len(signatures) == 1, (command, signatures)
+    assert set(SCHEMAS) == {c for c, formats in offered.items() if "json" in formats}
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -314,47 +354,48 @@ def test_validation_runs_once_for_check_and_never_for_queries(monkeypatch):
     assert calls == []
 
 
-def test_random_documents_keep_outputs_well_formed(tmp_path):
+def _random_queries(tmp_path):
+    """Twenty seeded random documents: each one's alternatives and queries."""
     rng = random.Random(31415)
     for i in range(20):
         text = random_document_text(rng)
         document = parse_document(text)
         path = tmp_path / f"doc{i}.res"
         path.write_text(text)
-        atoms = document.evidence_frame.atoms
         alternatives = document.conclusion_frame.alternatives
-        given = atoms[0]
-
-        code, out = run_cli(["check", str(path), "--format", "json"])
-        assert code in (0, 2)
-        jsonschema.validate(json.loads(out), render.SCHEMAS["check"])
-
-        queries = {
-            "condition": ["condition", str(path), "--given", given],
-            "rank": ["rank", str(path), "--given", given],
-            "diagram": ["diagram", str(path), "--given", given],
+        query = [str(path), "--given", document.evidence_frame.atoms[0]]
+        yield text, alternatives, {
+            "check": ["check", str(path)],
+            "condition": ["condition", *query],
+            "rank": ["rank", *query],
+            "diagram": ["diagram", *query],
             "compare": [
-                "compare", str(path), "--given", given,
-                alternatives[0], f"!{{{alternatives[0]}}}",
+                "compare", *query, alternatives[0], f"!{{{alternatives[0]}}}",
             ],
-            "plausible": [
-                "plausible", str(path), "--given", given, alternatives[0],
-            ],
-            "explain": [
-                "explain", str(path), "--given", given,
-                alternatives[0], alternatives[1],
-            ],
+            "plausible": ["plausible", *query, alternatives[0]],
+            "explain": ["explain", *query, alternatives[0], alternatives[1]],
         }
+
+
+def test_random_documents_keep_outputs_well_formed(tmp_path):
+    for text, alternatives, queries in _random_queries(tmp_path):
         for command, argv in queries.items():
             code, out = run_cli(argv + ["--format", "json"])
-            assert code == 0, (command, text)
-            jsonschema.validate(json.loads(out), render.SCHEMAS[command])
-            code, _ = run_cli(argv)
-            assert code == 0
+            assert code in ((0, 2) if command == "check" else (0,)), (command, text)
+            assert json.loads(out)["command"] == command
+            assert run_cli(argv)[0] == code
 
-        code, dot = run_cli(["diagram", str(path), "--given", given, "--format", "dot"])
+        code, dot = run_cli(queries["diagram"] + ["--format", "dot"])
         assert code == 0
         nodes, _ = assert_well_formed_dot(dot)
         mentioned = " ".join(label for _, label in nodes)
         for name in alternatives:
             assert mentioned.count(f"{{{name}}}") == 1
+
+
+def test_random_document_outputs_match_their_schemas(tmp_path):
+    jsonschema = pytest.importorskip("jsonschema")
+    for _, _, queries in _random_queries(tmp_path):
+        for command, argv in queries.items():
+            _, out = run_cli(argv + ["--format", "json"])
+            jsonschema.validate(json.loads(out), SCHEMAS[command])
