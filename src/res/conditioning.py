@@ -20,7 +20,7 @@ from functools import cached_property
 from ._record import record
 from .errors import EvidenceError, UsageError
 from .order import OrderClosure
-from .semantics import EvidenceSentence
+from .semantics import ConclusionSentence, EvidenceSentence
 from .structure import Argument, EvidenceStructure
 
 
@@ -44,39 +44,37 @@ class ConditionedStructure:
 class SupportMasks:
     """A view's triggered arguments as bits of their pool positions.
 
-    ``support(p)`` is S(p), the triggered arguments concluding a subset of
-    the members mask ``p``; ``dominated(q)`` is D(q), those at most as
-    strong as one of S(q) by the closure rows.  Both are cached per mask.
+    ``signature(p)`` is the pair (S(p), D(p)): S(p) the triggered arguments
+    concluding a subset of ``p``, D(p) those at most as strong as one of
+    S(p) by the closure rows.  It is cached per members mask, and ``p``'s
+    frame is checked on every call, so a foreign frame never reads the cache.
     """
 
     def __init__(self, view: ConditionedStructure):
         rows, position = view.closure._rows, view.structure.position
         at = [position(argument.id) for argument in view.triggered]
+        self.frame = view.structure.conclusion_frame
         self.bits = [1 << i for i in at]
         self._rows = [rows[i] for i in at]
         self._by_conclusion: dict[int, int] = {}
         for argument, bit in zip(view.triggered, self.bits):
             members = argument.conclusion.members
             self._by_conclusion[members] = self._by_conclusion.get(members, 0) | bit
-        self._support: dict[int, int] = {}
-        self._dominated: dict[int, int] = {}
+        self._signatures: dict[int, tuple[int, int]] = {}
 
-    def support(self, p: int) -> int:
-        mask = self._support.get(p)
-        if mask is None:  # the groups are disjoint, so their sum is their union
-            mask = self._support[p] = sum(
-                bits for members, bits in self._by_conclusion.items() if members & ~p == 0
+    def signature(self, p: ConclusionSentence) -> tuple[int, int]:
+        if p.frame is not self.frame and p.frame != self.frame:
+            raise UsageError("conclusion belongs to a different frame")
+        found = self._signatures.get(p.members)
+        if found is None:  # the groups are disjoint, so their sum is their union
+            support = sum(
+                bits for members, bits in self._by_conclusion.items()
+                if members & ~p.members == 0
             )
-        return mask
-
-    def dominated(self, q: int) -> int:
-        mask = self._dominated.get(q)
-        if mask is None:
-            rivals = self.support(q)
-            mask = self._dominated[q] = sum(
-                bit for bit, row in zip(self.bits, self._rows) if row & rivals
+            found = self._signatures[p.members] = support, sum(
+                bit for bit, row in zip(self.bits, self._rows) if row & support
             )
-        return mask
+        return found
 
 
 def condition(
@@ -91,9 +89,10 @@ def condition(
         )
     if closure.structure is not structure:
         raise UsageError("closure was built for a different structure")
+    models = given.models  # the frame is checked above, once
     triggered = tuple(
         argument
         for argument in structure.arguments
-        if given.implies(argument.presumption)
+        if models & ~argument.presumption.models == 0
     )
     return ConditionedStructure(structure, closure, given, triggered)

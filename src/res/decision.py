@@ -13,11 +13,12 @@ the matches it lists are for display only.  None of it ever invents an
 order where the arguments are silent: ties and incomparable pairs are
 reported, never broken.
 
-The kernel decides on bit masks over pool positions, which a view builds on
-its first query and caches (``ConditionedStructure.support_masks``): S(p)
-holds the triggered supports of p, D(q) the triggered arguments at most as
-strong as one of S(q).  Then p <= q is ``S(p) & ~D(q) == 0``, or
-``S(q) != 0`` when S(p) is empty, with no closure lookup per support pair.
+The kernel decides on signatures: bit masks over pool positions that a view
+caches per conclusion on first use (``SupportMasks.signature``).  S(p) holds
+the triggered supports of p, D(q) the triggered arguments at most as strong
+as one of S(q).  Then p <= q is ``S(p) & ~D(q) == 0``, or ``S(q) != 0`` when
+S(p) is empty, with no closure lookup per support pair.  The frame of a
+conclusion is checked on every lookup, cached or not.
 """
 
 from __future__ import annotations
@@ -39,27 +40,17 @@ class ComparisonVerdict(enum.Enum):
     EQUAL = "Equal"
     INCOMPARABLE = "Incomparable"
 
-    def mirrored(self) -> "ComparisonVerdict":
-        if self is ComparisonVerdict.STRICTLY_LESS:
-            return ComparisonVerdict.STRICTLY_GREATER
-        if self is ComparisonVerdict.STRICTLY_GREATER:
-            return ComparisonVerdict.STRICTLY_LESS
-        return self
-
-
-def _check_conclusion(conditioned: ConditionedStructure, p: ConclusionSentence):
-    frame = conditioned.structure.conclusion_frame
-    if p.frame is not frame and p.frame != frame:
-        raise UsageError("conclusion belongs to a different frame")
+    # Members are singletons, so identity hashes them, in C; no set of
+    # verdicts is ever iterated into output.
+    __hash__ = object.__hash__
 
 
 def supports_of(
     conditioned: ConditionedStructure, p: ConclusionSentence
 ) -> list[Argument]:
     """Triggered arguments whose conclusion implies *p*, in triggered order."""
-    _check_conclusion(conditioned, p)
     masks = conditioned.support_masks
-    support = masks.support(p.members)
+    support = masks.signature(p)[0]
     return [a for a, bit in zip(conditioned.triggered, masks.bits) if support & bit]
 
 
@@ -69,13 +60,10 @@ def leq_conclusions(
     second: ConclusionSentence,
 ) -> bool:
     """Is *first* at most as believable as *second* under the observation?"""
-    _check_conclusion(conditioned, first)
-    _check_conclusion(conditioned, second)
-    masks = conditioned.support_masks
-    base = masks.support(first.members)
-    if not base:
-        return masks.support(second.members) != 0
-    return base & ~masks.dominated(second.members) == 0
+    signature = conditioned.support_masks.signature
+    base = signature(first)[0]
+    support, dominated = signature(second)
+    return base & ~dominated == 0 if base else support != 0
 
 
 # The verdict for (first <= second, second <= first).
@@ -84,6 +72,13 @@ _VERDICTS = {
     (True, False): ComparisonVerdict.STRICTLY_LESS,
     (False, True): ComparisonVerdict.STRICTLY_GREATER,
     (False, False): ComparisonVerdict.INCOMPARABLE,
+}
+# The verdict for (second, first), given the one for (first, second).
+_MIRRORED = {
+    ComparisonVerdict.STRICTLY_LESS: ComparisonVerdict.STRICTLY_GREATER,
+    ComparisonVerdict.STRICTLY_GREATER: ComparisonVerdict.STRICTLY_LESS,
+    ComparisonVerdict.EQUAL: ComparisonVerdict.EQUAL,
+    ComparisonVerdict.INCOMPARABLE: ComparisonVerdict.INCOMPARABLE,
 }
 
 
@@ -130,34 +125,28 @@ def rank(
 ) -> RankResult:
     if not candidates:
         raise UsageError("rank needs at least one candidate")
-    order = _verdict_matrix(conditioned, candidates)
-    beaten_by = [
-        {j for j, v in enumerate(row) if v is ComparisonVerdict.STRICTLY_LESS} - {i}
-        for i, row in enumerate(order)
+    count, less = len(candidates), ComparisonVerdict.STRICTLY_LESS
+    matrix = [[None] * count for _ in range(count)]
+    for i, first in enumerate(candidates):
+        row = matrix[i]
+        for j in range(i, count):
+            row[j] = verdict = compare(conditioned, first, candidates[j])
+            matrix[j][i] = _MIRRORED[verdict]
+    beaten_by = [  # bit j: candidate j strictly beats candidate i
+        sum(1 << j for j, verdict in enumerate(row) if verdict is less and j != i)
+        for i, row in enumerate(matrix)
     ]
     strata: list[tuple[ConclusionSentence, ...]] = []
-    remaining = list(range(len(candidates)))
+    remaining = (1 << count) - 1
     while remaining:
-        pool = set(remaining)
-        layer = [i for i in remaining if not beaten_by[i] & pool]
+        layer = [
+            i for i in range(count) if remaining >> i & 1 and not beaten_by[i] & remaining
+        ]
         if not layer:  # only a faulty kernel can make the strict order cyclic
             raise ResError("the strict order over the candidates is cyclic")
         strata.append(tuple(candidates[i] for i in layer))
-        remaining = [i for i in remaining if i not in layer]
-    return RankResult(
-        tuple(candidates), tuple(tuple(row) for row in order), tuple(strata)
-    )
-
-
-def _verdict_matrix(conditioned, candidates):
-    count = len(candidates)
-    matrix = [[ComparisonVerdict.EQUAL] * count for _ in range(count)]
-    for i in range(count):
-        for j in range(i, count):
-            verdict = compare(conditioned, candidates[i], candidates[j])
-            matrix[i][j] = verdict
-            matrix[j][i] = verdict.mirrored()
-    return matrix
+        remaining &= ~sum(1 << i for i in layer)
+    return RankResult(tuple(candidates), tuple(map(tuple, matrix)), tuple(strata))
 
 
 @record

@@ -42,14 +42,10 @@ def _short(sentence) -> str:
 
 
 def _table(headers: list[str], rows: list[list[str]]) -> str:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)).rstrip()]
-    for row in rows:
-        lines.append("  ".join(c.ljust(widths[i]) for i, c in enumerate(row)).rstrip())
-    return "\n".join(lines)
+    widths = [max(map(len, column)) for column in zip(headers, *rows)]
+    return "\n".join(
+        "  ".join(map(str.ljust, row, widths)).rstrip() for row in (headers, *rows)
+    )
 
 
 def _chain_json(chain: tuple[ChainStep, ...]) -> list[dict]:
@@ -192,14 +188,13 @@ def plausible_json(conditioned: ConditionedStructure, p, result: bool) -> str:
 
 def rank_text(conditioned: ConditionedStructure, result: RankResult) -> str:
     names = [_short(c) for c in result.candidates]
+    short = {c.members: name for c, name in zip(result.candidates, names)}
     lines = [f"rank of {len(names)} candidates given {conditioned.given.describe()}"]
-    lines.append("maximal: " + ", ".join(_short(c) for c in result.maximal))
+    lines.append("maximal: " + ", ".join(short[c.members] for c in result.maximal))
     for level, layer in enumerate(result.strata, start=1):
-        lines.append(f"stratum {level}: " + ", ".join(_short(c) for c in layer))
-    rows = [
-        [names[i]] + [VERDICT_SYMBOLS[result.matrix[i][j]] for j in range(len(names))]
-        for i in range(len(names))
-    ]
+        lines.append(f"stratum {level}: " + ", ".join(short[c.members] for c in layer))
+    symbol = VERDICT_SYMBOLS.__getitem__
+    rows = [[name, *map(symbol, row)] for name, row in zip(names, result.matrix)]
     lines.append(_table([""] + names, rows))
     lines.append("legend: < less, > greater, = equal, # incomparable")
     return "\n".join(lines)

@@ -242,11 +242,12 @@ class ConclusionSentence:
         return self.members == self.frame.full_mask
 
     def names(self) -> tuple[str, ...]:
-        return tuple(
-            name
-            for i, name in enumerate(self.frame.alternatives)
-            if self.members >> i & 1
-        )
+        alternatives, rest, names = self.frame.alternatives, self.members, []
+        while rest:  # one step per set bit, lowest first
+            low = rest & -rest
+            names.append(alternatives[low.bit_length() - 1])
+            rest ^= low
+        return tuple(names)
 
     def describe(self) -> str:
         return "{" + ", ".join(self.names()) + "}"

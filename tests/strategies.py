@@ -28,7 +28,7 @@ from res import (
 from oracle import Recipe, build_arguments
 
 ATOM_NAMES = ("w", "x", "y", "z")
-ALTERNATIVE_NAMES = ("A", "B", "C", "D")
+ALTERNATIVE_NAMES = ("A", "B", "C", "D", "E")
 
 KINDS = ("leq", "strict", "equal")
 POLICIES = ("singletons", "complement_set")
@@ -78,9 +78,10 @@ def random_recipe(
     max_atoms: int = 4,
     max_arguments: int = 8,
     allow_generation: bool = False,
+    max_alternatives: int = 4,
 ) -> Recipe:
     atom_count = rng.randint(1, max_atoms)
-    alternative_count = rng.randint(2, 4)
+    alternative_count = rng.randint(2, max_alternatives)
     atoms = ATOM_NAMES[:atom_count]
     alternatives = ALTERNATIVE_NAMES[:alternative_count]
     pres_full = (1 << (1 << atom_count)) - 1

@@ -34,6 +34,9 @@ EQ = ComparisonVerdict.EQUAL
 LT = ComparisonVerdict.STRICTLY_LESS
 GT = ComparisonVerdict.STRICTLY_GREATER
 NC = ComparisonVerdict.INCOMPARABLE
+# The verdict for (q, p) given the one for (p, q), written out here rather
+# than read from the engine.
+MIRROR = {LT: GT, GT: LT, EQ: EQ, NC: NC}
 
 
 def observe(structure, closure, formula):
@@ -232,6 +235,100 @@ def test_mask_kernel_matches_the_definition(recipe, data):
     assert view == twin and hash(view) == hash(twin)
 
 
+def _naive_strata(matrix):
+    """Peel the unbeaten candidates off a matrix of verdict names, on sets."""
+    remaining, strata = set(range(len(matrix))), []
+    while remaining:
+        layer = sorted(
+            i
+            for i in remaining
+            if not any(matrix[i][j] == "StrictlyLess" for j in remaining - {i})
+        )
+        strata.append(layer)
+        remaining -= set(layer)
+    return strata
+
+
+def test_rank_of_all_candidates_matches_the_oracle(monkeypatch):
+    from res import decision
+
+    calls = []
+    kernel = decision.compare
+
+    def counted(conditioned, first, second):
+        calls.append((first.members, second.members))
+        return kernel(conditioned, first, second)
+
+    monkeypatch.setattr(decision, "compare", counted)
+    rng = random.Random(5150)
+    unsupported, sizes = 0, set()
+    for case in range(200):
+        recipe = random_recipe(rng, allow_generation=True, max_alternatives=5)
+        structure, closure = build_engine(recipe)
+        model = oracle.evaluate(recipe)
+        full = (1 << (1 << len(recipe.atoms))) - 1
+        given_mask = rng.randint(1, full)
+        view = condition(
+            structure, closure, EvidenceSentence(structure.evidence_frame, given_mask)
+        )
+        active = oracle.triggered(model, given_mask)
+        candidates = candidate_sentences(structure.conclusion_frame, "all")
+        sizes.add(structure.conclusion_frame.size)
+        if case % 3 == 0:  # a shuffled subset, so positions differ from masks
+            candidates = rng.sample(candidates, rng.randint(1, len(candidates)))
+        names = [frozenset(c.names()) for c in candidates]
+        calls.clear()
+        result = rank(view, candidates)
+        count = len(candidates)
+        assert calls == [
+            (candidates[i].members, candidates[j].members)
+            for i in range(count)
+            for j in range(i, count)
+        ]
+        expected = [
+            [oracle.verdict(model, active, names[i], names[j]) for j in range(count)]
+            for i in range(count)
+        ]
+        assert [[v.value for v in row] for row in result.matrix] == expected
+        for i in range(count):
+            if not oracle.supports(model, active, names[i]):
+                unsupported += 1
+                assert result.matrix[i][i] is NC
+        assert [
+            sorted(candidates.index(c) for c in layer) for layer in result.strata
+        ] == _naive_strata(expected)
+    assert unsupported > 0 and sizes == {2, 3, 4, 5}
+    # 24 candidates: one compare per pair i <= j, 24 * 25 / 2 of them.
+    calls.clear()
+    rank(view, (candidate_sentences(structure.conclusion_frame, "all") * 24)[:24])
+    assert len(calls) == 300
+
+
+def test_a_foreign_frame_never_reads_a_warm_signature_cache(hominids):
+    from res import ConclusionFrame
+
+    structure, closure = hominids
+    view = observe(structure, closure, "e1 & e2")
+    frame = structure.conclusion_frame
+    twin = ConclusionFrame(tuple(f"Z{i}" for i in range(frame.size)))
+    assert twin.full_mask == frame.full_mask and twin != frame
+    candidates = candidate_sentences(frame, "all")
+    rank(view, candidates)  # every mask of the frame is now cached
+    for ours in (candidates[0], candidates[14], candidates[-1]):
+        foreign = ConclusionSentence(twin, ours.members)
+        for call in (compare, leq_conclusions, explain):
+            with pytest.raises(UsageError, match="different frame"):
+                call(view, foreign, ours)
+            with pytest.raises(UsageError, match="different frame"):
+                call(view, ours, foreign)
+        with pytest.raises(UsageError, match="different frame"):
+            supports_of(view, foreign)
+        for at in (0, len(candidates) // 2, len(candidates)):
+            mixed = candidates[:at] + [foreign] + candidates[at:]
+            with pytest.raises(UsageError, match="different frame"):
+                rank(view, mixed)
+
+
 def test_rank_makes_no_closure_lookups(hominids, monkeypatch):
     structure, closure = hominids
     calls = []
@@ -286,7 +383,7 @@ def test_comparison_is_mirrored():
     for rng, structure, conditioned in _random_cases(11, 120):
         p = _random_conclusion(rng, structure)
         q = _random_conclusion(rng, structure)
-        assert compare(conditioned, p, q) is compare(conditioned, q, p).mirrored()
+        assert compare(conditioned, p, q) is MIRROR[compare(conditioned, q, p)]
 
 
 def test_comparison_is_transitive():
@@ -352,7 +449,7 @@ def test_rank_matrix_is_mirrored_and_consistent():
         count = len(candidates)
         for i in range(count):
             for j in range(count):
-                assert result.matrix[i][j] is result.matrix[j][i].mirrored()
+                assert result.matrix[i][j] is MIRROR[result.matrix[j][i]]
                 assert result.matrix[i][j] is compare(
                     conditioned, candidates[i], candidates[j]
                 )

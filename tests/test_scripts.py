@@ -75,3 +75,32 @@ def test_witness_documents_rebuild_the_sampled_pool():
         assert pool(parse_document(text).to_structure()) == pool(structure), text
         tautologies += sum(a.presumption.is_tautology() for a in structure.arguments)
     assert tautologies  # the draws include presumptions true everywhere
+
+
+def test_bench_pairs_summary_counts_wins_by_direction():
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPTS / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+
+    def runs(*values, failed=0, correct=True):
+        return [{"result": {"correct": correct, "failed": failed,
+                            "metrics": {"ops": {"value": v}, "lat": {"value": v}}}}
+                for v in values]
+
+    parent, change = runs(10, 20, 30, 40, 50), runs(11, 19, 31, 41, 50)
+    summary = bench_pairs.summary({"parent": parent, "change": change},
+                                  {"ops": "higher", "lat": "lower"})
+    metrics = summary["metrics"]
+    assert metrics["ops"]["parent"] == {"median": 30, "quartiles": [15.0, 45.0]}
+    assert metrics["ops"]["change"]["median"] == 31
+    # A tie counts for neither side.
+    assert (metrics["ops"]["change_won"], metrics["lat"]["change_won"]) == (3, 1)
+    assert metrics["ops"]["pairs"] == 5
+    assert summary["failed"] == summary["not_correct"] == {"parent": 0, "change": 0}
+    single = bench_pairs.summary({"parent": runs(7), "change": runs(8)}, {"ops": "higher"})
+    assert single["metrics"]["ops"]["parent"] == {"median": 7, "quartiles": [7, 7]}
+    # Failed operations and incorrect runs are counted per side, not folded into the medians.
+    mixed = runs(8, failed=3) + runs(9, correct=False)
+    counted = bench_pairs.summary({"parent": runs(7, 7), "change": mixed}, {"ops": "higher"})
+    assert counted["failed"] == {"parent": 0, "change": 3}
+    assert counted["not_correct"] == {"parent": 0, "change": 1}

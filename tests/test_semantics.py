@@ -366,3 +366,30 @@ def test_conclusion_parsing():
         parse_conclusion(ALTS, "A")
     with pytest.raises(DeclarationError):
         conclusion_of(ALTS, ["Z"])
+
+
+def _names_by_definition(sentence):
+    return tuple(
+        name
+        for i, name in enumerate(sentence.frame.alternatives)
+        if sentence.members >> i & 1
+    )
+
+
+def test_names_and_describe_match_the_definition():
+    # Names run against the bit order, so a walk in the wrong order shows.
+    frames = [
+        ConclusionFrame(tuple(f"alt{size - i}" for i in range(size)))
+        for size in range(1, 9)
+    ]
+    cases = [ConclusionSentence(f, m) for f in frames for m in range(f.full_mask + 1)]
+    wide = ConclusionFrame(tuple(f"w{23 - i}" for i in range(24)))
+    rng = random.Random(2401)
+    masks = [0, 1, 1 << 23, wide.full_mask]
+    masks += [rng.randint(0, wide.full_mask) for _ in range(500 - len(masks))]
+    cases += [ConclusionSentence(wide, m) for m in masks]
+    assert len(cases) == 510 + 500
+    for sentence in cases:
+        expected = _names_by_definition(sentence)
+        assert sentence.names() == expected
+        assert sentence.describe() == "{" + ", ".join(expected) + "}"
