@@ -1,4 +1,4 @@
-"""The declaration language: parsing, serialization, bundled fixtures.
+"""The declaration language: parsing, bundled fixtures.
 
 A document is line oriented.  ``#`` starts a comment; blank lines are
 ignored.  The header is fixed: a ``structure`` line, the evidence atoms,
@@ -13,7 +13,8 @@ order::
 
 Relation terms are either two argument labels or two ``pres(...)`` forms,
 never mixed.  Parsing gathers every error it can find, each with a line
-and column, before giving up.
+and column, before giving up.  Each statement parses into the
+:class:`EvidenceStructure` call it makes, which ``to_structure`` replays.
 """
 
 from __future__ import annotations
@@ -23,20 +24,10 @@ import re
 from ._record import field, record
 from .errors import DeclarationError, FormulaError, ParseError, SourceError
 from .formula import IDENTIFIER
-from .semantics import (
-    ConclusionFrame,
-    ConclusionSentence,
-    EvidenceFrame,
-    EvidenceSentence,
-    build_sentence,
-    parse_conclusion,
-)
+from .semantics import ConclusionFrame, EvidenceFrame, build_sentence, parse_conclusion
 from .structure import (
     EvidenceStructure,
     KIND_SYMBOLS,
-    LEVEL_ARGUMENT,
-    LEVEL_PRESUMPTION,
-    OPTION_FIELDS,
     POLICY_COMPLEMENT_SET,
     POLICY_SINGLETONS,
     StructureOptions,
@@ -51,41 +42,16 @@ _PRES_OPEN = re.compile(r"pres\s*\(")
 _REL_SYMBOLS = sorted(KIND_SYMBOLS.items(), key=lambda item: -len(item[1]))
 
 
-@record
-class ArgDecl:
-    label: str | None
-    presumption: EvidenceSentence
-    conclusion: ConclusionSentence
-    formula_text: str
-    conclusion_text: str
-    line: int
-
-
-@record
-class RefuteDecl:
-    presumption: EvidenceSentence
-    refuted: ConclusionSentence
-    policy: str
-    formula_text: str
-    conclusion_text: str
-    line: int
-
-
-@record
-class RelDecl:
-    level: str
-    kind: str
-    left: "str | EvidenceSentence"
-    right: "str | EvidenceSentence"
-    left_text: str
-    right_text: str
-    line: int
-    column: int
-
-
 @record(frozen=False)
 class StructureDocument:
-    """The parsed, still declarative form of one structure."""
+    """The parsed, still declarative form of one structure.
+
+    ``body`` holds one ``(line, column, method, args)`` entry per
+    statement: ``method`` is the :class:`EvidenceStructure` method the
+    statement calls and ``args`` its parsed arguments.  The relation
+    entries follow every argument entry, so a relation may name a label
+    declared further down.
+    """
 
     name: str
     evidence_frame: EvidenceFrame
@@ -94,66 +60,20 @@ class StructureDocument:
     body: list = field(default_factory=list)
 
     def to_structure(self) -> EvidenceStructure:
-        """Build the evidence structure and run its generation passes."""
+        """Replay the body on a new structure and run its generation passes."""
         structure = EvidenceStructure(
             self.evidence_frame, self.conclusion_frame, self.options, self.name
         )
         errors: list[SourceError] = []
-        for decl in self.body:
+        for line, column, method, args in self.body:
             try:
-                if isinstance(decl, ArgDecl):
-                    structure.add_support(decl.presumption, decl.conclusion, decl.label)
-                elif isinstance(decl, RefuteDecl):
-                    structure.add_refutation(decl.presumption, decl.refuted, decl.policy)
+                method(structure, *args)
             except DeclarationError as err:
-                errors.append(SourceError(decl.line, 1, str(err)))
-        for decl in self.body:
-            if not isinstance(decl, RelDecl):
-                continue
-            try:
-                if decl.level == LEVEL_ARGUMENT:
-                    structure.declare_argument_relation(decl.kind, decl.left, decl.right)
-                else:
-                    structure.declare_presumption_relation(
-                        decl.kind, decl.left, decl.right
-                    )
-            except DeclarationError as err:
-                errors.append(SourceError(decl.line, decl.column, str(err)))
+                errors.append(SourceError(line, column, str(err)))
         if errors:
             raise ParseError(errors)
         structure.run_generation_passes()
         return structure
-
-    def serialize(self) -> str:
-        """Canonical text for this document; reparsing is semantics-preserving."""
-        lines = [
-            f"structure {self.name}",
-            "evidence atoms: " + ", ".join(self.evidence_frame.atoms),
-            "alternatives: " + ", ".join(self.conclusion_frame.alternatives),
-            "options: "
-            + ", ".join(
-                f"{name}={str(getattr(self.options, name)).lower()}"
-                for name in OPTION_FIELDS
-            ),
-            "",
-        ]
-        for decl in self.body:
-            if isinstance(decl, ArgDecl):
-                head = f"arg {decl.label}:" if decl.label else "arg:"
-                lines.append(f"{head} {decl.formula_text} => {decl.conclusion_text}")
-            elif isinstance(decl, RefuteDecl):
-                lines.append(
-                    f"refute: {decl.formula_text} => {decl.conclusion_text} {decl.policy}"
-                )
-            else:
-                symbol = KIND_SYMBOLS[decl.kind]
-                if decl.level == LEVEL_ARGUMENT:
-                    lines.append(f"rel: {decl.left_text} {symbol} {decl.right_text}")
-                else:
-                    lines.append(
-                        f"rel: pres({decl.left_text}) {symbol} pres({decl.right_text})"
-                    )
-        return "\n".join(lines) + "\n"
 
 
 class _DocumentParser:
@@ -166,6 +86,7 @@ class _DocumentParser:
         self.option_values: dict[str, object] = {}
         self.options_line = 0
         self.body_lines: list[tuple[int, str]] = []
+        self.relations: list[tuple] = []  # body entries, replayed last
         # (parse function, stripped text) -> sentence, for this document only;
         # a failed parse is not kept, so every bad occurrence is reported.
         self.parsed: dict[tuple, object] = {}
@@ -196,6 +117,7 @@ class _DocumentParser:
                 self.error(number, err.column, err.message)
         if self.errors:
             raise ParseError(self.errors)
+        document.body += self.relations
         return document
 
     # -- header -------------------------------------------------------------
@@ -312,6 +234,15 @@ class _DocumentParser:
             sentence = self.parsed[key] = parse(frame, text, number, column)
         return sentence
 
+    def _sentences(self, document, number, formula, fcol, conclusion, ccol):
+        """The presumption and the conclusion of an arg or refute line."""
+        return (
+            self._parsed(build_sentence, document.evidence_frame, formula, number, fcol),
+            self._parsed(
+                parse_conclusion, document.conclusion_frame, conclusion, number, ccol
+            ),
+        )
+
     def _split_arrow(self, number, stripped, indent, head_end):
         arrow = stripped.find("=>", head_end)
         if arrow < 0:
@@ -330,19 +261,9 @@ class _DocumentParser:
         formula, fcol, conclusion, ccol = self._split_arrow(
             number, stripped, indent, m.end()
         )
+        sentences = self._sentences(document, number, formula, fcol, conclusion, ccol)
         document.body.append(
-            ArgDecl(
-                m.group(1),
-                self._parsed(
-                    build_sentence, document.evidence_frame, formula, number, fcol
-                ),
-                self._parsed(
-                    parse_conclusion, document.conclusion_frame, conclusion, number, ccol
-                ),
-                formula.strip(),
-                conclusion.strip(),
-                number,
-            )
+            (number, 1, EvidenceStructure.add_support, (*sentences, m.group(1)))
         )
 
     def _parse_refute(self, document, number, stripped, indent) -> None:
@@ -361,19 +282,9 @@ class _DocumentParser:
                 number,
                 tcol + brace + 1,
             )
+        sentences = self._sentences(document, number, formula, fcol, conclusion, tcol)
         document.body.append(
-            RefuteDecl(
-                self._parsed(
-                    build_sentence, document.evidence_frame, formula, number, fcol
-                ),
-                self._parsed(
-                    parse_conclusion, document.conclusion_frame, conclusion, number, tcol
-                ),
-                policy,
-                formula.strip(),
-                conclusion.strip(),
-                number,
-            )
+            (number, 1, EvidenceStructure.add_refutation, (*sentences, policy))
         )
 
     def _parse_rel(self, document, number, stripped, indent) -> None:
@@ -394,21 +305,20 @@ class _DocumentParser:
         right, end = self._parse_rel_term(document, number, rest, rest_col, right_start)
         if rest[end:].strip():
             raise FormulaError("trailing input", number, rest_col + end)
-        if type(left[0]) is not type(right[0]):
+        if type(left) is not type(right):
             raise FormulaError(
                 "a relation must compare two arguments or two presumptions",
                 number,
                 rest_col,
             )
-        value, text = left
-        rvalue, rtext = right
-        level = LEVEL_ARGUMENT if isinstance(value, str) else LEVEL_PRESUMPTION
-        document.body.append(
-            RelDecl(level, kind, value, rvalue, text, rtext, number, rest_col)
-        )
+        if isinstance(left, str):
+            declare = EvidenceStructure.declare_argument_relation
+        else:
+            declare = EvidenceStructure.declare_presumption_relation
+        self.relations.append((number, rest_col, declare, (kind, left, right)))
 
     def _parse_rel_term(self, document, number, rest, rest_col, start):
-        """Returns ((value, text), end); value is a label or a sentence."""
+        """Returns (value, end); value is a label or a sentence."""
         at = _skip_spaces(rest, start)
         m = _PRES_OPEN.match(rest, at)
         if m:
@@ -425,13 +335,13 @@ class _DocumentParser:
             sentence = self._parsed(
                 build_sentence, document.evidence_frame, inner, number, rest_col + m.end()
             )
-            return (sentence, inner.strip()), i
+            return sentence, i
         m = IDENTIFIER.match(rest, at)
         if m is None:
             raise FormulaError(
                 "expected an argument label or pres(...)", number, rest_col + at
             )
-        return (m.group(), m.group()), m.end()
+        return m.group(), m.end()
 
 
 def _skip_spaces(text: str, at: int) -> int:

@@ -155,8 +155,12 @@ def condition_json(conditioned: ConditionedStructure) -> str:
 # -- compare / plausible -----------------------------------------------------
 
 
-def compare_text(conditioned: ConditionedStructure, left, right, verdict) -> str:
+def _verdict_line(left, right, verdict) -> str:
     return f"{left.describe()} vs {right.describe()}: {verdict.value}"
+
+
+def compare_text(conditioned: ConditionedStructure, left, right, verdict) -> str:
+    return _verdict_line(left, right, verdict)
 
 
 def compare_json(conditioned: ConditionedStructure, left, right, verdict) -> str:
@@ -284,7 +288,7 @@ def _direction_text(conditioned, direction) -> list[str]:
 
 
 def explain_text(conditioned: ConditionedStructure, trace: ExplanationTrace) -> str:
-    lines = [compare_text(conditioned, trace.left, trace.right, trace.verdict)]
+    lines = [_verdict_line(trace.left, trace.right, trace.verdict)]
     lines.extend(_direction_text(conditioned, trace.forward))
     lines.extend(_direction_text(conditioned, trace.backward))
     return "\n".join(lines)

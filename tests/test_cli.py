@@ -99,6 +99,30 @@ def test_each_command_and_format_has_one_view():
     assert set(SCHEMAS) == {c for c, formats in offered.items() if "json" in formats}
 
 
+def test_each_call_enters_exactly_one_view(monkeypatch):
+    # Wrap every public view, as a tracer counting rendered bytes does, so
+    # a view that calls another would count the same text twice.
+    entered = []
+
+    def counted(name, view):
+        def wrapper(*args):
+            entered.append(name)
+            return view(*args)
+        return wrapper
+
+    for name, value in list(vars(render).items()):
+        if (
+            not name.startswith("_") and inspect.isfunction(value)
+            and value.__module__ == render.__name__
+        ):
+            monkeypatch.setattr(render, name, counted(name, value))
+    for output, argv in MANIFEST:
+        entered.clear()
+        code, _ = run_cli(argv)
+        view_format = argv[argv.index("--format") + 1] if "--format" in argv else "text"
+        assert (code, entered) == (0, [f"{argv[0]}_{view_format}"]), output
+
+
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 

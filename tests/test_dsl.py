@@ -1,24 +1,25 @@
-"""The declaration language: parsing, located errors, serialization."""
+"""The declaration language: parsing, located errors, replaying the body."""
 
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
 from res import (
     EvidenceSentence,
+    EvidenceStructure,
     ParseError,
-    build_closure,
     build_sentence,
     fixture_path,
     fixture_text,
     load_structure,
     parse_conclusion,
     parse_document,
+    replace,
 )
 from res import dsl
-from res.dsl import ArgDecl, RefuteDecl, RelDecl
 
 from strategies import random_document_text
 
@@ -47,8 +48,8 @@ def test_example1_document_shape():
     assert document.evidence_frame.atoms == ("e1", "e2")
     assert document.conclusion_frame.alternatives == ("Al1", "Al2", "Al3")
     assert not document.options.conjunction_arguments
-    kinds = [type(decl).__name__ for decl in document.body]
-    assert kinds == ["ArgDecl", "ArgDecl", "ArgDecl", "RefuteDecl"]
+    methods = [method.__name__ for _, _, method, _ in document.body]
+    assert methods == ["add_support", "add_support", "add_support", "add_refutation"]
     structure = document.to_structure()
     assert [a.id for a in structure.arguments] == ["t1a", "t1b", "t2", "a1", "a2"]
     assert structure.declarations == ()
@@ -60,12 +61,11 @@ def test_hominids_document_shape():
     assert len(document.evidence_frame.atoms) == 5
     assert len(document.conclusion_frame.alternatives) == 5
     assert document.options.conjunction_arguments
-    args = [d for d in document.body if isinstance(d, ArgDecl)]
-    rels = [d for d in document.body if isinstance(d, RelDecl)]
-    assert len(args) == 12
-    assert [a.label for a in args] == [f"a{i}" for i in range(1, 13)]
-    assert len(rels) == 4
-    assert all(r.level == "presumption" and r.kind == "strict" for r in rels)
+    methods = [method.__name__ for _, _, method, _ in document.body]
+    assert methods == ["add_support"] * 12 + ["declare_presumption_relation"] * 4
+    args = [args for _, _, _, args in document.body]
+    assert [label for _, _, label in args[:12]] == [f"a{i}" for i in range(1, 13)]
+    assert all(kind == "strict" for kind, _, _ in args[12:])
     structure = document.to_structure()
     assert len(structure.arguments) == 23
 
@@ -188,9 +188,9 @@ def test_refute_line_errors():
     assert "'sometimes'" in err.message
     # Valid policies parse to the declared policy.
     document = parse_document(HEADER + "refute: e1 => {Al1} complement_set\n")
-    (decl,) = document.body
-    assert isinstance(decl, RefuteDecl)
-    assert decl.policy == "complement_set"
+    ((_, _, method, (_, _, policy)),) = document.body
+    assert method is EvidenceStructure.add_refutation
+    assert policy == "complement_set"
 
 
 def test_rel_line_errors():
@@ -311,20 +311,14 @@ def test_each_distinct_text_is_parsed_once_per_document(monkeypatch):
     document = parse_document(HEADER + body)
     assert formulas == ["e1 & e2", "e1&e2", "e1"]  # 6 formulas before the memo
     assert conclusions == ["{Al1}", "{ Al1 }"]  # 4 before
-    first, second, third, refute, rel, _ = document.body
-    assert second.presumption is first.presumption is refute.presumption
-    assert rel.left is first.presumption
+    first, second, third, refute, rel, last = (args for *_, args in document.body)
+    assert second[0] is first[0] is refute[0] is rel[1]
+    assert second[1] is first[1] is refute[1]
+    assert last[1] is rel[2]
     # The memo keys on text, so equal masks keep the text they were written as.
-    assert third.presumption == first.presumption
-    assert third.presumption.describe() == "e1&e2"
-    assert document.serialize().splitlines()[5:] == [
-        "arg a1: e1 & e2 => {Al1}",
-        "arg a2: e1 & e2 => {Al1}",
-        "arg a3: e1&e2 => { Al1 }",
-        "refute: e1 & e2 => {Al1} complement_set",
-        "rel: pres(e1 & e2) < pres(e1)",
-        "rel: pres(e1) <= pres(e1&e2)",
-    ]
+    assert third[0] == first[0] and third[1] == first[1]
+    assert [third[0].describe(), last[2].describe()] == ["e1&e2", "e1&e2"]
+    assert [first[0].describe(), rel[2].describe()] == ["e1 & e2", "e1"]
 
 
 def test_a_repeated_bad_text_is_reported_at_each_occurrence():
@@ -343,6 +337,56 @@ def test_a_repeated_bad_text_is_reported_at_each_occurrence():
         ("unknown alternative 'Zed'", 7, 16),
         ("unknown alternative 'Zed'", 8, 17),
     ]
+
+
+# ---------------------------------------------------------------------------
+# Replaying the body: arguments first, then relations, each error located.
+# ---------------------------------------------------------------------------
+
+
+def test_a_relation_may_name_labels_declared_below_it():
+    text = HEADER + "rel: a2 < a1\narg a1: e1 => {Al1}\narg a2: e2 => {Al2}\n"
+    structure = load_structure(text)
+    (declaration,) = structure.declarations
+    assert (declaration.kind, declaration.left, declaration.right) == ("strict", "a2", "a1")
+
+
+def test_build_errors_list_the_arguments_first_then_the_relations():
+    body = (
+        "rel: a1 < zz\n"
+        "arg a1: e1 => {Al1}\n"
+        "arg a1: e2 => {Al2}\n"
+        "  rel:  yy <= a1\n"
+        "  arg a3: e1 & !e1 => {Al3}\n"
+    )
+    errors = parse_errors(HEADER + body)
+    assert [(e.message, e.line, e.column) for e in errors] == [
+        ("duplicate argument label 'a1'", 6, 1),
+        ("unsatisfiable presumption 'e1 & !e1'", 8, 1),
+        ("relation references unknown argument 'zz'", 4, 6),
+        ("relation references unknown argument 'yy'", 7, 9),
+    ]
+
+
+def test_one_document_built_twice_gives_equal_pools():
+    rng = random.Random(20261019)
+    texts = [fixture_text("example1.res"), fixture_text("hominids.res")]
+    texts += [random_document_text(rng) for _ in range(30)]
+    for text in texts:
+        document = parse_document(text)
+        first, second = document.to_structure(), document.to_structure()
+        assert first is not second
+        assert first.arguments == second.arguments  # ids and origins included
+        assert first.declarations == second.declarations
+
+
+def test_options_replaced_before_building_are_honoured():
+    document = parse_document(fixture_text("hominids.res"))
+    assert len(document.to_structure().arguments) == 23
+    document.options = replace(document.options, conjunction_arguments=False)
+    structure = document.to_structure()
+    assert not structure.options.conjunction_arguments
+    assert len(structure.arguments) == 12
 
 
 # ---------------------------------------------------------------------------
@@ -383,51 +427,6 @@ def test_negated_conclusions():
     assert argument.conclusion.describe() == "{Al1, Al3}"
 
 
-# ---------------------------------------------------------------------------
-# Serialization round-trips.
-# ---------------------------------------------------------------------------
-
-
-def assert_same_semantics(document, reparsed):
-    left = document.to_structure()
-    right = reparsed.to_structure()
-    assert left.options == right.options
-    assert [
-        (a.id, a.presumption.models, a.conclusion.members, a.origins)
-        for a in left.arguments
-    ] == [
-        (a.id, a.presumption.models, a.conclusion.members, a.origins)
-        for a in right.arguments
-    ]
-    assert len(left.declarations) == len(right.declarations)
-    first = build_closure(left)
-    second = build_closure(right)
-    ids = [a.id for a in left.arguments]
-    for low in ids:
-        for high in ids:
-            assert first.leq(low, high) == second.leq(low, high)
-
-
-@pytest.mark.parametrize("name", ["example1.res", "hominids.res"])
-def test_fixture_round_trip(name):
-    document = parse_document(fixture_text(name))
-    text = document.serialize()
-    reparsed = parse_document(text)
-    assert_same_semantics(document, reparsed)
-    assert reparsed.serialize() == text
-
-
-def test_random_document_round_trips():
-    rng = random.Random(20240817)
-    for _ in range(150):
-        text = random_document_text(rng)
-        document = parse_document(text)
-        canonical = document.serialize()
-        reparsed = parse_document(canonical)
-        assert reparsed.serialize() == canonical
-        assert_same_semantics(document, reparsed)
-
-
 def test_memoised_parse_matches_a_direct_parse_of_each_line():
     rng = random.Random(20261018)
     for _ in range(150):
@@ -442,24 +441,22 @@ def test_memoised_parse_matches_a_direct_parse_of_each_line():
         lines = text.splitlines()
         document = parse_document(text)
         evidence, conclusions = document.evidence_frame, document.conclusion_frame
-        for decl in document.body:
-            if isinstance(decl, ArgDecl):
-                parsed = [(decl.presumption, decl.formula_text),
-                          (decl.conclusion, decl.conclusion_text)]
-            elif isinstance(decl, RefuteDecl):
-                parsed = [(decl.presumption, decl.formula_text),
-                          (decl.refuted, decl.conclusion_text)]
-            elif decl.level == "presumption":
-                parsed = [(decl.left, decl.left_text), (decl.right, decl.right_text)]
-            else:
+        for line, _, method, args in document.body:
+            source = lines[line - 1]
+            if method is EvidenceStructure.declare_argument_relation:
                 continue
+            if method is EvidenceStructure.declare_presumption_relation:
+                match = re.fullmatch(r"rel: pres\((.*)\) (?:<=|<|~) pres\((.*)\)", source)
+                parsed = zip(args[1:], match.groups())
+            else:
+                if method is EvidenceStructure.add_support:
+                    assert source.startswith(f"arg {args[2]}: ")
+                formula, tail = source.split(": ", 1)[1].split(" => ")
+                parsed = zip(args[:2], (formula, tail[: tail.index("}") + 1]))
             for sentence, written in parsed:
-                assert written in lines[decl.line - 1]
                 if isinstance(sentence, EvidenceSentence):
                     direct = build_sentence(evidence, written)
                     assert sentence.text == direct.text == written
                 else:
                     direct = parse_conclusion(conclusions, written)
                 assert sentence == direct
-        canonical = document.serialize()
-        assert parse_document(canonical).serialize() == canonical

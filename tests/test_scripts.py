@@ -1,16 +1,19 @@
-"""The scripts the README documents: each runs, and the witness documents parse."""
+"""What the README documents: each script runs, the witness documents parse,
+and the Python examples give the results their comments state."""
 
 from __future__ import annotations
 
 import importlib.util
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import res
 from res import parse_document
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -75,6 +78,25 @@ def test_witness_documents_rebuild_the_sampled_pool():
         assert pool(parse_document(text).to_structure()) == pool(structure), text
         tautologies += sum(a.presumption.is_tautology() for a in structure.arguments)
     assert tautologies  # the draws include presumptions true everywhere
+
+
+def test_readme_python_examples_give_their_commented_results():
+    readme = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    assert len(blocks) == 2
+    checked = {}
+    for block in blocks:
+        namespace = {}
+        exec(compile(block, "README.md", "exec"), namespace)
+        # "expression  # result" or "expression  # result: why"
+        for expression, result in re.findall(r"^(\w.*?)\s+# ([\w.]+)", block, re.M):
+            checked[expression] = eval(expression, namespace)
+            assert checked[expression] == eval(result, vars(res)), expression
+    assert checked == {
+        "compare(conditioned, al1, al2)": res.ComparisonVerdict.STRICTLY_LESS,
+        "is_plausible(conditioned, al2)": False,
+    }
+    assert namespace["structure"].options.conjunction_lifting
 
 
 def test_bench_pairs_summary_counts_wins_by_direction():
