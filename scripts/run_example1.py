@@ -35,6 +35,7 @@ CASES = [
     ("only the supporting atom holds", "e1 & !e2"),
     ("both atoms hold", "e1 & e2"),
 ]
+REFINEMENT = "rel: pres(e2) < pres(e1)"
 
 
 def run_case(structure, closure, title, formula, fmt):
@@ -57,18 +58,14 @@ def run_case(structure, closure, title, formula, fmt):
 
 def show_refinement(fmt):
     """Declaring e2-arguments strictly below e1-arguments settles Al1 vs Al3."""
-    structure = load_structure(fixture_text("example1.res"))
-    frame = structure.evidence_frame
-    structure.declare_presumption_relation(
-        "strict", build_sentence(frame, "e2"), build_sentence(frame, "e1")
-    )
+    structure = load_structure(fixture_text("example1.res") + REFINEMENT + "\n")
     closure = build_closure(structure)
     conditioned = condition(
-        structure, closure, build_sentence(frame, "e1 & e2")
+        structure, closure, build_sentence(structure.evidence_frame, "e1 & e2")
     )
     al1, _, al3 = candidate_sentences(structure.conclusion_frame, "singletons")
     trace = explain(conditioned, al1, al3)
-    print("== both atoms hold, with rel: pres(e2) < pres(e1)")
+    print(f"== both atoms hold, with {REFINEMENT}")
     if fmt == "json":
         print(render.explain_json(conditioned, trace))
     else:

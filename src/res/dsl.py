@@ -263,7 +263,7 @@ class _DocumentParser:
         )
         sentences = self._sentences(document, number, formula, fcol, conclusion, ccol)
         document.body.append(
-            (number, 1, EvidenceStructure.add_support, (*sentences, m.group(1)))
+            (number, indent, EvidenceStructure.add_support, (*sentences, m.group(1)))
         )
 
     def _parse_refute(self, document, number, stripped, indent) -> None:
@@ -284,7 +284,7 @@ class _DocumentParser:
             )
         sentences = self._sentences(document, number, formula, fcol, conclusion, tcol)
         document.body.append(
-            (number, 1, EvidenceStructure.add_refutation, (*sentences, policy))
+            (number, indent, EvidenceStructure.add_refutation, (*sentences, policy))
         )
 
     def _parse_rel(self, document, number, stripped, indent) -> None:

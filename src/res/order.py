@@ -182,18 +182,18 @@ def _declared_pairs(declaration, structure) -> list[tuple[int, int]]:
 
 
 def build_closure(structure: EvidenceStructure) -> OrderClosure:
-    """Seed and close the strength relation of a structure whose pool is final.
-
-    This makes the structure's declarations final too: a closure would
-    silently go stale if one could still be added.
-    """
-    declarations = structure.seal_declarations()
+    """Seed and close the strength relation of a final structure, reading it only."""
+    if structure.presumption_groups is None:
+        raise UsageError(
+            f"structure {structure.name!r}: call run_generation_passes() before "
+            "building a closure"
+        )
     arguments = structure.arguments
     # The passes run in a fixed order, and each pair keeps its first cause.
     seeds: dict[tuple[int, int], str | RelationDeclaration] = {}
     seed = seeds.setdefault
 
-    for declaration in declarations:
+    for declaration in structure.declarations:
         for (i, j) in _declared_pairs(declaration, structure):
             seed((i, j), declaration)
             if declaration.kind == KIND_EQUAL:

@@ -40,9 +40,6 @@ LEVEL_PRESUMPTION = "presumption"
 
 KIND_SYMBOLS = {KIND_LEQ: "<=", KIND_STRICT: "<", KIND_EQUAL: "~"}
 
-_POOL_SEALED = "its arguments are final once run_generation_passes() has run"
-_DECLARATIONS_SEALED = "its declarations are final once a closure is built from it"
-
 
 @record
 class Argument:
@@ -148,13 +145,12 @@ class ValidationReport:
 
 
 class EvidenceStructure:
-    """A pool of arguments and declarations over a pair of frames, built in stages.
+    """A pool of arguments and declarations over a pair of frames.
 
-    Add arguments (:meth:`add_support`, :meth:`add_refutation`), then call
-    :meth:`run_generation_passes` once, which makes the pool final.  Declare
-    relations (``declare_*``) until :func:`res.order.build_closure` makes
-    them final too, so a closure never goes stale.  Each argument and
-    declaration is checked when it is added; the frames and options are
+    Add arguments (:meth:`add_support`, :meth:`add_refutation`) and declare
+    relations (``declare_*``), then call :meth:`run_generation_passes` once,
+    which makes both final, so a closure never goes stale.  Each argument
+    and declaration is checked when it is added; the frames and options are
     read-only.
     """
 
@@ -169,11 +165,11 @@ class EvidenceStructure:
         self._conclusion_frame = conclusion_frame
         self._options = options or StructureOptions()
         self.name = name
-        # Each stage ends by turning its list into a tuple.
+        # Lists while open; the generation passes turn both into tuples.
         self._arguments: list | tuple = []
         self._declarations: list | tuple = []
         self.disjunction_capped = False
-        #: Argument positions by presumption models; set when the pool is sealed.
+        #: Argument positions by presumption models; set when the passes run.
         self.presumption_groups: dict[int, list[int]] | None = None
         self._position: dict[tuple[int, int], int] = {}
         self._by_id: dict[str, int] = {}  # ids and merged-away labels
@@ -201,14 +197,13 @@ class EvidenceStructure:
 
     # -- building -----------------------------------------------------------
 
-    def _open(self, part: list | tuple, sealed_by: str) -> list:
-        """*part* itself while its stage is open; raises once it is sealed."""
-        if isinstance(part, tuple):
+    def _check_open(self) -> None:
+        """Raise once the generation passes have run."""
+        if self.presumption_groups is not None:
             raise UsageError(
-                f"structure {self.name!r} is frozen: {sealed_by}; "
-                "build a new structure instead"
+                f"structure {self.name!r} is frozen: it is final once "
+                "run_generation_passes() has run; build a new structure instead"
             )
-        return part
 
     def _fresh_id(self) -> str:
         while True:
@@ -239,8 +234,9 @@ class EvidenceStructure:
 
     def _add(self, presumption, conclusion, label, origin, parents=()) -> str:
         """Add one argument of *origin*; only the passes record *parents*."""
-        pool = self._open(self._arguments, _POOL_SEALED)
+        self._check_open()
         self._check_sentences(presumption, conclusion)
+        pool = self._arguments
         if not presumption.is_satisfiable():
             raise DeclarationError(
                 f"unsatisfiable presumption {presumption.describe()!r}"
@@ -305,7 +301,7 @@ class EvidenceStructure:
         return self._arguments[self.position(arg_id)]
 
     def declare_argument_relation(self, kind: str, left: str, right: str) -> None:
-        declarations = self._open(self._declarations, _DECLARATIONS_SEALED)
+        self._check_open()
         if kind not in KIND_SYMBOLS:
             raise DeclarationError(f"unknown relation kind {kind!r}")
         ids = []
@@ -313,14 +309,14 @@ class EvidenceStructure:
             if label not in self._by_id:
                 raise DeclarationError(f"relation references unknown argument {label!r}")
             ids.append(self.argument(label).id)
-        declarations.append(
-            RelationDeclaration(LEVEL_ARGUMENT, kind, *ids, len(declarations) + 1)
+        self._declarations.append(
+            RelationDeclaration(LEVEL_ARGUMENT, kind, *ids, len(self._declarations) + 1)
         )
 
     def declare_presumption_relation(
         self, kind: str, left: EvidenceSentence, right: EvidenceSentence
     ) -> None:
-        declarations = self._open(self._declarations, _DECLARATIONS_SEALED)
+        self._check_open()
         if kind not in KIND_SYMBOLS:
             raise DeclarationError(f"unknown relation kind {kind!r}")
         for sentence in (left, right):
@@ -330,31 +326,23 @@ class EvidenceStructure:
                 raise DeclarationError(
                     f"relation references unsatisfiable presumption {sentence.describe()!r}"
                 )
-        declarations.append(
+        self._declarations.append(
             RelationDeclaration(
-                LEVEL_PRESUMPTION, kind, left, right, len(declarations) + 1
+                LEVEL_PRESUMPTION, kind, left, right, len(self._declarations) + 1
             )
         )
-
-    def seal_declarations(self) -> tuple[RelationDeclaration, ...]:
-        """Make the declarations final and return them (:func:`build_closure` does)."""
-        if self.presumption_groups is None:
-            raise UsageError(
-                f"structure {self.name!r}: call run_generation_passes() before "
-                "building a closure"
-            )
-        self._declarations = tuple(self._declarations)
-        return self._declarations
 
     # -- generation passes --------------------------------------------------
 
     def run_generation_passes(self) -> None:
         """Apply, in order, every generation pass the options enable.
 
-        Runs once, then seals the pool, so the disjunction cap budgets the
-        whole structure; a second run raises :class:`UsageError`.
+        Runs once, then makes the pool and the declarations final, so the
+        disjunction cap budgets the whole structure; adding, declaring or a
+        second run then raises :class:`UsageError`.
         """
-        pool = self._open(self._arguments, _POOL_SEALED)
+        self._check_open()
+        pool = self._arguments
         if self._options.conjunction_arguments:
             self._conjoin(pool)
         if self._options.disjunction_closure:
@@ -364,14 +352,16 @@ class EvidenceStructure:
             groups.setdefault(argument.presumption.models, []).append(i)
         self.presumption_groups = groups
         self._arguments = tuple(pool)
+        self._declarations = tuple(self._declarations)
 
     def _conjoin(self, pool: list[Argument]) -> None:
         """One pass of the conjunction rule over the declared base.
 
         Two base arguments for one conclusion conjoin into an argument whose
-        presumption is the conjunction, provided that is satisfiable.
+        presumption is the conjunction, provided that is satisfiable.  It
+        runs first, so the pool holds only the base.
         """
-        base = [a for a in pool if set(a.origins) & BASE_ORIGINS]
+        base = tuple(pool)
         for i, first in enumerate(base):
             for second in base[i + 1 :]:
                 if first.conclusion.members != second.conclusion.members:
@@ -386,15 +376,16 @@ class EvidenceStructure:
 
         Every pair of arguments spawns one with the disjoined presumptions
         and the union of the conclusions; rounds repeat until nothing new
-        appears.  Hitting the cap sets :attr:`disjunction_capped`.
+        appears.  After the first round, a round pairs only with the arguments
+        the round before added, in the order of all pairs: older pairs would
+        only merge again.  Hitting the cap sets :attr:`disjunction_capped`.
         """
         budget = self._options.disjunction_closure_cap
-        grew = True
-        while grew:
-            grew = False
+        done = 0
+        while done < len(pool):
             count = len(pool)
             for i in range(count):
-                for j in range(i + 1, count):
+                for j in range(max(i + 1, done), count):
                     first, second = pool[i], pool[j]
                     size = len(pool)
                     self._add(
@@ -404,11 +395,11 @@ class EvidenceStructure:
                         ORIGIN_DISJUNCTION,
                     )
                     if len(pool) > size:
-                        grew = True
                         budget -= 1
                         if not budget:
                             self.disjunction_capped = True
                             return
+            done = count
 
     # -- validation ---------------------------------------------------------
 

@@ -36,6 +36,12 @@ POLICIES = ("singletons", "complement_set")
 
 def build_engine(recipe: Recipe) -> tuple[EvidenceStructure, OrderClosure]:
     """Run one recipe through the real package, end to end."""
+    structure = build_structure(recipe)
+    return structure, build_closure(structure)
+
+
+def build_structure(recipe: Recipe, kind=EvidenceStructure) -> EvidenceStructure:
+    """Build one recipe as a *kind* of structure and run its generation passes."""
     frame = EvidenceFrame(recipe.atoms)
     conclusion_frame = ConclusionFrame(recipe.alternatives)
     options = StructureOptions(
@@ -45,7 +51,7 @@ def build_engine(recipe: Recipe) -> tuple[EvidenceStructure, OrderClosure]:
         disjunction_closure=recipe.disjunction_closure,
         disjunction_closure_cap=recipe.disjunction_closure_cap,
     )
-    structure = EvidenceStructure(frame, conclusion_frame, options, name="generated")
+    structure = kind(frame, conclusion_frame, options, name="generated")
     for (pres_mask, concl_mask) in recipe.supports:
         structure.add_support(
             EvidenceSentence(frame, pres_mask),
@@ -67,7 +73,7 @@ def build_engine(recipe: Recipe) -> tuple[EvidenceStructure, OrderClosure]:
             EvidenceSentence(frame, right_mask),
         )
     structure.run_generation_passes()
-    return structure, build_closure(structure)
+    return structure
 
 
 # -- seeded random recipes ---------------------------------------------------

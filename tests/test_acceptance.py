@@ -116,16 +116,11 @@ def test_criterion_04():
     that declaration nor its reverse changes any verdict in the first
     three cases.
     """
-    def fresh():
-        return load_structure(fixture_text("example1.res"))
+    def fresh(extra=""):
+        return load_structure(fixture_text("example1.res") + extra)
 
-    def with_pres_strict(structure, lower, upper):
-        frame = structure.evidence_frame
-        structure.declare_presumption_relation(
-            "strict",
-            build_sentence(frame, lower),
-            build_sentence(frame, upper),
-        )
+    def with_pres_strict(lower, upper):
+        structure = fresh(f"rel: pres({lower}) < pres({upper})\n")
         return structure, build_closure(structure)
 
     plain = fresh()
@@ -140,12 +135,12 @@ def test_criterion_04():
 
     baseline = verdicts_for_first_three_cases(pair)
 
-    strengthened = with_pres_strict(fresh(), "e2", "e1")
+    strengthened = with_pres_strict("e2", "e1")
     case4_strengthened = observe(strengthened, "e1 & e2")
     assert compare(case4_strengthened, al1, al3) is GT
 
     for lower, upper in (("e2", "e1"), ("e1", "e2")):
-        modified = with_pres_strict(fresh(), lower, upper)
+        modified = with_pres_strict(lower, upper)
         assert verdicts_for_first_three_cases(modified) == baseline
         assert check_consistency(modified[1], modified[0]).ok
     print("\n[acceptance] criterion 4: PASS")

@@ -358,11 +358,13 @@ def test_build_errors_list_the_arguments_first_then_the_relations():
         "arg a1: e2 => {Al2}\n"
         "  rel:  yy <= a1\n"
         "  arg a3: e1 & !e1 => {Al3}\n"
+        "    refute: e2 => {Al1, Al2, Al3}\n"
     )
     errors = parse_errors(HEADER + body)
     assert [(e.message, e.line, e.column) for e in errors] == [
         ("duplicate argument label 'a1'", 6, 1),
-        ("unsatisfiable presumption 'e1 & !e1'", 8, 1),
+        ("unsatisfiable presumption 'e1 & !e1'", 8, 3),
+        ("refuting the full set of alternatives leaves nothing to support", 9, 5),
         ("relation references unknown argument 'zz'", 4, 6),
         ("relation references unknown argument 'yy'", 7, 9),
     ]

@@ -318,6 +318,18 @@ def test_declaring_after_the_closure_raises():
     assert not closure.leq("t1a", "t2")
 
 
+def test_building_a_closure_only_reads_the_structure():
+    structure = load_structure(fixture_text("hominids.res"))
+    pool, declarations = structure.arguments, structure.declarations
+    first = build_closure(structure)
+    second = build_closure(structure)
+    assert structure.arguments is pool and structure.declarations is declarations
+    assert declarations and first.ids == second.ids
+    for lower in first.ids:
+        for upper in first.ids:
+            assert first.leq(lower, upper) == second.leq(lower, upper)
+
+
 def test_adding_support_after_the_closure_raises():
     structure = load_structure(fixture_text("example1.res"))
     closure = build_closure(structure)

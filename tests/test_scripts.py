@@ -1,5 +1,6 @@
 """What the README documents: each script runs, the witness documents parse,
-and the Python examples give the results their comments state."""
+the Python examples give the results their comments state, and the
+command-line examples run."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import importlib.util
 import os
 import random
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +16,9 @@ from pathlib import Path
 import pytest
 
 import res
-from res import parse_document
+from res import fixture_path, fixture_text, parse_document
+
+from test_cli import run_cli
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
@@ -51,6 +55,38 @@ def run_script(*argv: str) -> str:
 def test_documented_scripts_run(argv, key_line):
     lines = run_script(*argv).splitlines()
     assert any(line.startswith(key_line) for line in lines), lines[:10]
+
+
+def test_example1_refinement_matches_the_cli(tmp_path):
+    relation = "rel: pres(e2) < pres(e1)"
+    heading = f"== both atoms hold, with {relation}\n"
+    _, section = run_script("run_example1.py", "--format", "text").split(heading)
+    document = tmp_path / "refined.res"
+    document.write_text(f"{fixture_text('example1.res')}{relation}\n")
+    code, out = run_cli(["explain", str(document), "--given", "e1 & e2", "Al1", "Al3"])
+    assert code == 0
+    assert section == out + "\n"
+
+
+def readme_block(after: str, language: str) -> str:
+    readme = (ROOT / "README.md").read_text()
+    return re.search(rf"^{after}\n.*?^```{language}\n(.*?)^```", readme, re.M | re.S)[1]
+
+
+def test_readme_command_line_examples_run(monkeypatch):
+    monkeypatch.chdir(fixture_path("example1.res").parent)
+    outputs = {}
+    for line in readme_block("## Command line", "sh").splitlines():
+        command, *argv = shlex.split(line, comments=True)
+        assert command == "res"
+        code, outputs[argv[0]] = run_cli(argv)
+        assert code == 0, line
+    assert len(outputs) == 7
+    # The sample ranking shows lines of the real one, in order.
+    lines = iter(outputs["rank"].splitlines())
+    for sample in readme_block("A ranking looks like this:", "text").splitlines():
+        if sample != "...":
+            assert sample in lines, sample
 
 
 def load_find_witnesses():

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import random
+
 import pytest
 
 from res import (
@@ -20,7 +23,9 @@ from res import (
     parse_document,
     replace,
 )
-from res.structure import parse_option
+from res.structure import ORIGIN_DISJUNCTION, parse_option
+
+from strategies import build_structure, random_recipe
 
 FRAME = EvidenceFrame(("x", "y"))
 ALTS = ConclusionFrame(("A", "B", "C"))
@@ -124,6 +129,24 @@ def test_argument_relations_follow_aliases():
     s.add_support(sentence("y"), c("B"), "other")
     s.declare_argument_relation("leq", "two", "other")
     assert s.declarations[0].left == "one"
+
+
+def test_declarations_are_final_once_the_passes_have_run():
+    s = fresh()
+    s.add_support(sentence("x"), c("A"), "p")
+    s.add_support(sentence("y"), c("B"), "q")
+    s.declare_presumption_relation("leq", sentence("x"), sentence("y"))
+    s.declare_argument_relation("strict", "p", "q")
+    assert [(d.level, d.ordinal) for d in s.declarations] == [
+        ("presumption", 1), ("argument", 2)
+    ]
+    s.run_generation_passes()
+    declarations = s.declarations
+    with pytest.raises(UsageError, match="frozen"):
+        s.declare_argument_relation("leq", "q", "p")
+    with pytest.raises(UsageError, match="frozen"):
+        s.declare_presumption_relation("leq", sentence("y"), sentence("x"))
+    assert s.declarations is declarations and len(declarations) == 2
 
 
 # -- generation passes -------------------------------------------------------
@@ -232,6 +255,52 @@ def test_the_disjunction_cap_budgets_the_whole_structure():
     with pytest.raises(UsageError, match="frozen"):
         s.run_generation_passes()
     assert len(s.arguments) == 9
+
+
+class AllPairsStructure(EvidenceStructure):
+    """The disjunction pass as defined: every round joins every pair."""
+
+    def _disjoin(self, pool):
+        budget = self.options.disjunction_closure_cap
+        grew = True
+        while grew:
+            grew = False
+            count = len(pool)
+            for i in range(count):
+                for j in range(i + 1, count):
+                    size = len(pool)
+                    self._add(
+                        pool[i].presumption | pool[j].presumption,
+                        pool[i].conclusion | pool[j].conclusion,
+                        None,
+                        ORIGIN_DISJUNCTION,
+                    )
+                    if len(pool) > size:
+                        grew = True
+                        budget -= 1
+                        if not budget:
+                            self.disjunction_capped = True
+                            return
+
+
+def test_disjunction_rounds_match_the_all_pairs_definition():
+    rng = random.Random(14)
+    capped = 0
+    for _ in range(60):
+        recipe = dataclasses.replace(
+            random_recipe(rng, max_atoms=3, max_arguments=10, allow_generation=True,
+                          max_alternatives=5),
+            disjunction_closure=True,
+            disjunction_closure_cap=rng.choice((1, 5, 40, 4096)),
+        )
+        rounds, pairs = build_structure(recipe), build_structure(recipe, AllPairsStructure)
+        assert rounds.arguments == pairs.arguments  # ids, origins and parents too
+        assert [a.presumption.describe() for a in rounds.arguments] == [
+            a.presumption.describe() for a in pairs.arguments
+        ]
+        assert rounds.disjunction_capped == pairs.disjunction_capped
+        capped += rounds.disjunction_capped
+    assert 0 < capped < 60
 
 
 # -- options and validation --------------------------------------------------
