@@ -13,10 +13,11 @@ five families of seed pairs:
 * optionally, equality across one presumption, and lifting of declared
   presumption-level strengths to conjunction-rule arguments.
 
-Every seed is found by index or sorted scan: a presumption group meets only
-the groups with fewer models, and lifting looks its targets up by
-presumption and by parent pair.  A seed pair keeps
-only its first cause; its :class:`SeedReason` is built on demand.
+The seeds are one successor bit mask per argument, each family ORed in by
+index or sorted scan: a presumption group meets only the groups with fewer
+models, and lifting looks its targets up by presumption and by parent pair.
+Only a declared pair keeps its cause; any other pair's :class:`SeedReason`
+is worked out from its two arguments when a chain shows it.
 
 Strictness is never seeded: ``a`` is strictly below ``b`` exactly when the
 closure holds one way and not the other.  Declared strict or equal pairs
@@ -27,7 +28,6 @@ each violation with a seed-by-seed provenance chain.
 from __future__ import annotations
 
 from collections import deque
-from itertools import combinations, permutations, product
 
 from ._record import field, record
 from .errors import UsageError
@@ -80,20 +80,17 @@ _DETAILS = {
 class OrderClosure:
     """The closed strength relation, queryable by argument id.
 
-    *seeds* maps each seed pair of positions to its cause, a seed kind or a
-    declaration, as :func:`build_closure` finds them: specificity over the
-    presumption groups sorted by model count, lifting by presumption and
-    parent-pair lookup.  :meth:`_reason` builds the reason when a chain
-    shows it.
+    *successors* holds each argument position's seeds as one bit mask, and
+    *declared* each declared pair's first declaration; :meth:`_reason` works
+    out any other seed pair's cause from its two arguments.
     """
 
-    def __init__(self, structure: EvidenceStructure, seeds: dict):
+    def __init__(self, structure: EvidenceStructure, successors: list, declared: dict):
         self.structure = structure
         self.ids = tuple(a.id for a in structure.arguments)
-        self._seeds = seeds
-        # One seed graph serves both the rows and the chains' tie-break.
-        self._successors = _successors(seeds, len(self.ids))
-        self._rows = _reach(self._successors)
+        self._successors = successors
+        self._declared = declared
+        self._rows = _reach(successors)
 
     def leq(self, lower: str, upper: str) -> bool:
         """Is *lower* at most as strong as *upper*?"""
@@ -101,33 +98,45 @@ class OrderClosure:
         return bool(self._rows[position(lower)] >> position(upper) & 1)
 
     def _reason(self, i: int, j: int) -> SeedReason:
-        """Why the seed pair of positions ``(i, j)`` is in the relation."""
-        cause = self._seeds[(i, j)]
-        if isinstance(cause, RelationDeclaration):
+        """The first cause of seed pair ``(i, j)``, in the order seeds are found."""
+        if (i, j) in self._declared:
+            cause = self._declared[(i, j)]
             return SeedReason(SEED_DECLARATION, f"#{cause.ordinal} {cause.describe()}")
-        return SeedReason(cause, _DETAILS[cause].format(self.ids[i], self.ids[j]))
+        low, high = self.structure.arguments[i], self.structure.arguments[j]
+        kind = SEED_LIFTING
+        if low.presumption.models != high.presumption.models:
+            if high.presumption.implies(low.presumption):
+                kind = SEED_CONSTRAINT_SPECIFICITY
+        elif low.conclusion.implies(high.conclusion):
+            kind = SEED_CONSTRAINT_CONCLUSION
+        elif self.structure.options.same_presumption_equal:
+            kind = SEED_SAME_PRESUMPTION
+        return SeedReason(kind, _DETAILS[kind].format(self.ids[i], self.ids[j]))
 
     def provenance_chain(self, lower: str, upper: str) -> list[ChainStep]:
         """A shortest seed-by-seed derivation of ``lower <= upper``.
 
-        Empty for a reflexive pair; raises if the relation does not hold.
+        Breadth-first, visiting successors lowest position first.  Empty
+        for a reflexive pair; raises if the relation does not hold.
         """
         start, goal = self.structure.position(lower), self.structure.position(upper)
         if not self._rows[start] >> goal & 1:
             raise UsageError(f"{lower!r} is not at most {upper!r}; no chain exists")
         if start == goal:
             return []
-        parent: dict[int, int] = {start: start}
-        queue = deque([start])
-        while queue:
+        parent, seen, queue = {}, 1 << start, deque([start])
+        while True:
             here = queue.popleft()
-            if here == goal:
+            fresh = self._successors[here] & ~seen
+            if fresh >> goal & 1:
                 break
-            for there in self._successors[here]:
-                if there not in parent:
-                    parent[there] = here
-                    queue.append(there)
-        path = [goal]
+            seen |= fresh
+            while fresh:
+                there = (fresh & -fresh).bit_length() - 1
+                parent[there] = here
+                queue.append(there)
+                fresh &= fresh - 1
+        path = [goal, here]
         while path[-1] != start:
             path.append(parent[path[-1]])
         path.reverse()
@@ -137,37 +146,31 @@ class OrderClosure:
         ]
 
 
-def _reach(successors: list[list[int]]) -> list[int]:
-    """Reflexive-transitive closure of a graph given by successor lists.
+def _reach(successors: list[int]) -> list[int]:
+    """Reflexive-transitive closure of a graph given by successor masks.
 
     Row ``i`` is a bitmask holding ``i`` itself and every node a path from
-    ``i`` reaches.  A search from ``start`` takes the finished row of each
-    node below ``start`` it meets whole, instead of searching past it.
+    ``i`` reaches.  A search from ``start`` expands one frontier mask at a
+    time, and takes the finished row of each node below ``start`` it meets
+    whole, instead of searching past it.
     """
     rows: list[int] = []
-    for start in range(len(successors)):
+    for start, reach in enumerate(successors):
         seen = 1 << start
-        stack = [start]
-        while stack:
-            for there in successors[stack.pop()]:
-                if seen >> there & 1:
-                    continue
-                if there < start:
-                    seen |= rows[there]
-                else:
-                    seen |= 1 << there
-                    stack.append(there)
+        below = seen - 1
+        while frontier := reach & ~seen:
+            low = frontier & below
+            while low:
+                seen |= rows[(low & -low).bit_length() - 1]
+                low &= ~seen
+            frontier &= ~seen
+            seen |= frontier
+            reach = 0
+            while frontier:
+                reach |= successors[(frontier & -frontier).bit_length() - 1]
+                frontier &= frontier - 1
         rows.append(seen)
     return rows
-
-
-def _successors(pairs, count: int) -> list[list[int]]:
-    """Successor lists of the non-loop *pairs*, each list in sorted order."""
-    successors: list[list[int]] = [[] for _ in range(count)]
-    for (i, j) in pairs:
-        if i != j:
-            successors[i].append(j)
-    return [sorted(nexts) for nexts in successors]
 
 
 def _declared_pairs(declaration, structure) -> list[tuple[int, int]]:
@@ -189,74 +192,75 @@ def build_closure(structure: EvidenceStructure) -> OrderClosure:
             "building a closure"
         )
     arguments = structure.arguments
-    # The passes run in a fixed order, and each pair keeps its first cause.
-    seeds: dict[tuple[int, int], str | RelationDeclaration] = {}
-    seed = seeds.setdefault
-
+    successors = [0] * len(arguments)
+    # Only a declared pair keeps its cause: the first declaration of it.
+    declared: dict[tuple[int, int], RelationDeclaration] = {}
     for declaration in structure.declarations:
         for (i, j) in _declared_pairs(declaration, structure):
-            seed((i, j), declaration)
+            successors[i] |= 1 << j
+            declared.setdefault((i, j), declaration)
             if declaration.kind == KIND_EQUAL:
-                seed((j, i), declaration)
+                successors[j] |= 1 << i
+                declared.setdefault((j, i), declaration)
 
     # add_support has checked every frame, so raw masks compare directly.
     groups = structure.presumption_groups
+    bits = {models: sum(1 << i for i in members) for models, members in groups.items()}
     same_presumption_equal = structure.options.same_presumption_equal
-    for members in groups.values():
-        for (i, j) in permutations(members, 2):
-            upper = arguments[j].conclusion.members
-            if arguments[i].conclusion.members | upper == upper:
-                seed((i, j), SEED_CONSTRAINT_CONCLUSION)
-            elif same_presumption_equal:
-                seed((i, j), SEED_SAME_PRESUMPTION)
-    # A strictly more specific presumption has fewer models, so it sorts
-    # earlier.
-    for (strong, weak) in combinations(sorted(groups, key=int.bit_count), 2):
-        if strong | weak == weak:
-            for pair in product(groups[weak], groups[strong]):
-                seed(pair, SEED_CONSTRAINT_SPECIFICITY)
+    for models, members in groups.items():
+        for i in members:
+            lower = arguments[i].conclusion.members
+            successors[i] |= bits[models] if same_presumption_equal else sum(
+                1 << j for j in members if not lower & ~arguments[j].conclusion.members
+            )
+    # A strictly more specific presumption has fewer models: it sorts earlier.
+    ordered = sorted(groups, key=int.bit_count)
+    for k, weak in enumerate(ordered):
+        stronger = sum(bits[strong] for strong in ordered[:k] if strong | weak == weak)
+        for i in groups[weak]:
+            successors[i] |= stronger
 
     if structure.options.conjunction_lifting:
-        _seed_lifting(structure, seed)
+        _seed_lifting(structure, successors, bits)
 
-    return OrderClosure(structure, seeds)
+    return OrderClosure(structure, successors, declared)
 
 
-def _seed_lifting(structure: EvidenceStructure, seed) -> None:
-    """Seed conjunction-lifting pairs from the declared presumption order.
+def _seed_lifting(structure, successors: list[int], bits: dict[int, int]) -> None:
+    """OR the conjunction-lifting seeds into *successors*.
 
-    Parents ``(x, y)`` lift to each target presuming something above both,
-    or with parents above ``x`` and ``y`` in either pairing: the targets are
-    looked up by presumption and by parent pair.
+    Parents ``(x, y)`` lift to each target presuming something above both
+    in the declared presumption order, or with parents above ``x`` and
+    ``y`` in either pairing.  The targets are looked up by parent pair, a
+    presumption ``u`` standing as the pair ``(u, u)`` for its group *bits*.
     """
     position: dict[int, int] = {}
-    declared: list[tuple[int, int]] = []
+    declared: list[int] = []
     for declaration in structure.declarations:
         if declaration.level == LEVEL_PRESUMPTION:
             low = position.setdefault(declaration.left.models, len(position))
             high = position.setdefault(declaration.right.models, len(position))
-            declared.append((low, high))
+            declared += [0] * (len(position) - len(declared))
+            declared[low] |= 1 << high
             if declaration.kind == KIND_EQUAL:
-                declared.append((high, low))
-    rows = _reach(_successors(declared, len(position)))
+                declared[high] |= 1 << low
+    rows = _reach(declared)
     # The declared presumptions each mask lies below, the mask itself included.
     above = {mask: {high for high, k in position.items() if row >> k & 1}
              for mask, row in zip(position, rows)}
 
     arguments = structure.arguments
-    by_pair: dict[tuple[int, int], list[int]] = {}
+    by_pair = {(u, u): mask for u, mask in bits.items()}
     for j, target in enumerate(arguments):
         for (tx, ty) in target.parents:
-            by_pair.setdefault((tx.models, ty.models), []).append(j)
-            by_pair.setdefault((ty.models, tx.models), []).append(j)
-    groups = structure.presumption_groups
+            for pair in ((tx.models, ty.models), (ty.models, tx.models)):
+                by_pair[pair] = by_pair.get(pair, 0) | 1 << j
     for i, source in enumerate(arguments):
         for (x, y) in source.parents:
             up_x, up_y = (above.get(p.models, {p.models}) for p in (x, y))
-            targets = [j for u in up_x & up_y for j in groups.get(u, ())]
-            targets += [j for u in up_x for v in up_y for j in by_pair.get((u, v), ())]
-            for j in set(targets) - {i}:
-                seed((i, j), SEED_LIFTING)
+            for u in up_x:
+                for v in up_y:
+                    successors[i] |= by_pair.get((u, v), 0)
 
 
 @record
@@ -270,14 +274,10 @@ class Violation:
     def describe(self) -> str:
         lower, upper = self.counter
         if self.declaration.kind == KIND_STRICT:
-            return (
-                f"declared {self.declaration.describe()!r} but the closure also "
-                f"makes {lower} at most {upper}"
-            )
-        return (
-            f"declared {self.declaration.describe()!r} but the closure does not "
-            f"relate {lower} and {upper} both ways"
-        )
+            offence = f"also makes {lower} at most {upper}"
+        else:
+            offence = f"does not relate {lower} and {upper} both ways"
+        return f"declared {self.declaration.describe()!r} but the closure {offence}"
 
 
 @record(frozen=False)

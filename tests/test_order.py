@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from collections import deque
 
 import hypothesis.strategies as st
 import pytest
@@ -575,9 +576,21 @@ def reference_seeds(structure) -> dict[tuple[int, int], tuple[str, str]]:
     return seeds
 
 
+def seed_pairs(closure) -> set[tuple[int, int]]:
+    """The non-loop seed pairs of *closure*'s successor masks."""
+    return {
+        (i, j)
+        for i, mask in enumerate(closure._successors)
+        for j in range(len(closure.ids))
+        if i != j and mask >> j & 1
+    }
+
+
 def assert_seeds_match_definition(structure, closure):
     expected = reference_seeds(structure)
-    assert set(closure._seeds) == set(expected)
+    # The closure is reflexive and no chain steps on a loop, so loops are
+    # left out; the reasons below still cover them.
+    assert seed_pairs(closure) == {(i, j) for (i, j) in expected if i != j}
     for (i, j), (kind, detail) in expected.items():
         reason = closure._reason(i, j)
         assert (reason.kind, reason.detail) == (kind, detail)
@@ -653,7 +666,7 @@ def test_seed_reasons_are_built_on_demand(monkeypatch):
     document.options = replace(document.options, conjunction_lifting=True)
     structure = document.to_structure()
     closure = build_closure(structure)
-    assert len(closure._seeds) == 146 and made == []
+    assert len(seed_pairs(closure)) == 146 and made == []
 
     # A seed pair's chain is its one step, shown with its first reason.
     expected = reference_seeds(structure)
@@ -678,3 +691,62 @@ def test_seed_reasons_are_built_on_demand(monkeypatch):
     for step in steps:
         pair = (where[step.lower], where[step.upper])
         assert (step.reason.kind, step.reason.detail) == expected[pair]
+
+
+# -- provenance chains by definition -----------------------------------------
+
+
+def reference_chain(successors, seeds, start: int, goal: int) -> list[tuple]:
+    """A breadth-first chain over sorted successor lists, as
+    ``(lower, upper, kind, detail)`` steps: the first path found wins."""
+    parent = {start: start}
+    queue = deque([start])
+    while queue:
+        here = queue.popleft()
+        if here == goal:
+            break
+        for there in successors[here]:
+            if there not in parent:
+                parent[there] = here
+                queue.append(there)
+    path = [goal]
+    while path[-1] != start:
+        path.append(parent[path[-1]])
+    path.reverse()
+    return [(i, j, *seeds[(i, j)]) for i, j in zip(path, path[1:])]
+
+
+def assert_chains_match_reference(structure, closure) -> int:
+    """Check every chain of *closure*; return how many take several steps."""
+    seeds = reference_seeds(structure)
+    ids = closure.ids
+    where = {name: k for k, name in enumerate(ids)}
+    successors = [
+        sorted(j for (i, j) in seeds if i == k and j != k) for k in range(len(ids))
+    ]
+    longer = 0
+    for start in range(len(ids)):
+        for goal in range(len(ids)):
+            if not closure.leq(ids[start], ids[goal]):
+                continue
+            chain = [
+                (where[step.lower], where[step.upper], step.reason.kind,
+                 step.reason.detail)
+                for step in closure.provenance_chain(ids[start], ids[goal])
+            ]
+            assert chain == reference_chain(successors, seeds, start, goal)
+            longer += len(chain) > 1
+    return longer
+
+
+def test_chains_match_a_reference_search(example1, hominids, hominids_lifting):
+    longer = sum(
+        assert_chains_match_reference(*engine)
+        for engine in (example1, hominids, hominids_lifting)
+    )
+    rng = random.Random(15)
+    for _ in range(300):
+        recipe = random_recipe(rng, allow_generation=True)
+        longer += assert_chains_match_reference(*build_engine(recipe))
+    # Multi-step chains pin the tie-break between equally short paths.
+    assert longer > 100
