@@ -12,12 +12,14 @@ options, and answers one query::
     res explain example1.res --given "!e1 & !e2" Al2 Al3
 
 Exit codes: 0 on success, 1 on usage, parse or declaration errors, 2 when
-``check`` finds consistency violations.
+``check`` finds consistency violations.  A stdout closed before the answer
+is written (``res rank ... | head -1``) exits 1 with nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import render
@@ -178,7 +180,8 @@ def _query(args, structure) -> tuple:
 def _run(args) -> int:
     inputs = _query(args, _load(args).to_structure())
     # Looked up at call time, so a rebound view is the one that runs.
-    print(getattr(render, f"{args.command}_{args.format}")(*inputs))
+    # Flushed here, so a reader that closed the pipe is noticed in main.
+    print(getattr(render, f"{args.command}_{args.format}")(*inputs), flush=True)
     if args.command == "check" and not inputs[-1].ok:
         return 2  # the closure collapsed a declared strict relation
     return 0
@@ -207,6 +210,9 @@ def main(argv: list[str] | None = None) -> int:
             return 1
     try:
         return _run(args)
+    except BrokenPipeError:
+        _discard_stdout()
+        return 1
     except ParseError as err:
         for located in err.errors:
             print(f"{args.file}:{located}", file=sys.stderr)
@@ -214,6 +220,17 @@ def main(argv: list[str] | None = None) -> int:
     except (ResError, OSError) as err:
         print(f"res: error: {err}", file=sys.stderr)
         return 1
+
+
+def _discard_stdout() -> None:
+    """Point stdout's descriptor at devnull, so the flush at exit cannot fail."""
+    try:
+        descriptor = sys.stdout.fileno()
+    except OSError:  # an in-memory stream has no descriptor
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, descriptor)
+    os.close(devnull)
 
 
 if __name__ == "__main__":

@@ -74,12 +74,7 @@ _VERDICTS = {
     (False, False): ComparisonVerdict.INCOMPARABLE,
 }
 # The verdict for (second, first), given the one for (first, second).
-_MIRRORED = {
-    ComparisonVerdict.STRICTLY_LESS: ComparisonVerdict.STRICTLY_GREATER,
-    ComparisonVerdict.STRICTLY_GREATER: ComparisonVerdict.STRICTLY_LESS,
-    ComparisonVerdict.EQUAL: ComparisonVerdict.EQUAL,
-    ComparisonVerdict.INCOMPARABLE: ComparisonVerdict.INCOMPARABLE,
-}
+_MIRRORED = {verdict: _VERDICTS[b, a] for (a, b), verdict in _VERDICTS.items()}
 
 
 def compare(

@@ -55,9 +55,6 @@ class SeedReason:
     kind: str
     detail: str
 
-    def describe(self) -> str:
-        return f"{self.kind}: {self.detail}" if self.detail else self.kind
-
 
 @record
 class ChainStep:

@@ -12,7 +12,6 @@ exact integer operation with no prover in sight.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from functools import lru_cache
 
 from . import formula as _formula
 from ._record import field, record
@@ -45,27 +44,24 @@ class EvidenceFrame:
     def __post_init__(self):
         object.__setattr__(self, "atoms", tuple(self.atoms))
         _check_names(self.atoms, "atom", MAX_ATOMS)
-        # Derived once per frame; neither is a field, so neither is compared.
-        object.__setattr__(self, "valuations", 1 << len(self.atoms))
-        object.__setattr__(self, "full_mask", (1 << self.valuations) - 1)
+        # Derived once per frame; none is a field, so none is compared.
+        valuations = 1 << len(self.atoms)
+        object.__setattr__(self, "valuations", valuations)
+        object.__setattr__(self, "full_mask", (1 << valuations) - 1)
+        # Atom i's mask: a block of 2**i zeros then 2**i ones, doubled to width.
+        masks: dict[str, int] = {}
+        for i, name in enumerate(self.atoms):
+            half = 1 << i
+            mask, width = ((1 << half) - 1) << half, 2 * half
+            while width < valuations:
+                mask |= mask << width
+                width *= 2
+            masks[name] = mask
+        object.__setattr__(self, "atom_masks", masks)
 
     @property
     def size(self) -> int:
         return len(self.atoms)
-
-
-@lru_cache(maxsize=None)
-def _atom_masks(frame: EvidenceFrame) -> dict[str, int]:
-    """Atom i's mask: a block of 2**i zeros then 2**i ones, doubled to width."""
-    masks: dict[str, int] = {}
-    for i, name in enumerate(frame.atoms):
-        half = 1 << i
-        mask, width = ((1 << half) - 1) << half, 2 * half
-        while width < frame.valuations:
-            mask |= mask << width
-            width *= 2
-        masks[name] = mask
-    return masks
 
 
 @record
@@ -114,11 +110,6 @@ class EvidenceSentence:
             _or_text(self.text, other.text),
         )
 
-    def __invert__(self) -> "EvidenceSentence":
-        return EvidenceSentence(
-            self.frame, self.models ^ self.frame.full_mask, _not_text(self.text)
-        )
-
     def describe(self) -> str:
         """The source text when known, otherwise a formula over the frame.
 
@@ -154,10 +145,6 @@ class EvidenceSentence:
         return " | ".join(f"({t})" for t in terms)
 
 
-def _needs_parens(text: str) -> bool:
-    return _formula.IDENTIFIER.fullmatch(text.removeprefix("!")) is None
-
-
 def _and_text(left: str | None, right: str | None) -> str | None:
     if left is None or right is None:
         return None
@@ -172,18 +159,12 @@ def _or_text(left: str | None, right: str | None) -> str | None:
     return f"{left} | {right}"
 
 
-def _not_text(text: str | None) -> str | None:
-    if text is None:
-        return None
-    return f"!{text}" if not _needs_parens(text) else f"!({text})"
-
-
 def build_sentence(
     frame: EvidenceFrame, formula: str, line: int = 1, column: int = 1
 ) -> EvidenceSentence:
     """Parse *formula* over *frame*; errors are located at *line*, *column*."""
     mask = _formula.parse_formula_mask(
-        formula, _atom_masks(frame), frame.full_mask, line, column
+        formula, frame.atom_masks, frame.full_mask, line, column
     )
     return EvidenceSentence(frame, mask, formula.strip())
 
@@ -197,16 +178,17 @@ class ConclusionFrame:
     def __post_init__(self):
         object.__setattr__(self, "alternatives", tuple(self.alternatives))
         _check_names(self.alternatives, "alternative", MAX_ALTERNATIVES)
+        # Derived once per frame; neither is a field, so neither is compared.
         object.__setattr__(self, "full_mask", (1 << len(self.alternatives)) - 1)
+        object.__setattr__(
+            self,
+            "alternative_bits",
+            {name: 1 << i for i, name in enumerate(self.alternatives)},
+        )
 
     @property
     def size(self) -> int:
         return len(self.alternatives)
-
-
-@lru_cache(maxsize=None)
-def _alternative_bits(frame: ConclusionFrame) -> dict[str, int]:
-    return {name: 1 << i for i, name in enumerate(frame.alternatives)}
 
 
 @record
@@ -258,14 +240,14 @@ def parse_conclusion(
 ) -> ConclusionSentence:
     """Parse a conclusion literal such as ``{Al1, Al2}`` or ``!{Al1}``."""
     mask = _formula.parse_conclusion_mask(
-        text, _alternative_bits(frame), frame.full_mask, line, column
+        text, frame.alternative_bits, frame.full_mask, line, column
     )
     return ConclusionSentence(frame, mask)
 
 
 def conclusion_of(frame: ConclusionFrame, names: Iterable[str]) -> ConclusionSentence:
     """Build a conclusion from alternative names."""
-    bits = _alternative_bits(frame)
+    bits = frame.alternative_bits
     mask = 0
     for name in names:
         try:

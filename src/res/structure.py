@@ -40,6 +40,10 @@ LEVEL_PRESUMPTION = "presumption"
 
 KIND_SYMBOLS = {KIND_LEQ: "<=", KIND_STRICT: "<", KIND_EQUAL: "~"}
 
+#: The largest ``disjunction_closure_cap``: the closure holds n rows of n
+#: bits, so a larger pool would cost seconds and memory quadratic in it.
+MAX_DISJUNCTION_CLOSURE_CAP = 4096
+
 
 @record
 class Argument:
@@ -101,6 +105,10 @@ class StructureOptions:
             raise DeclarationError("conjunction_lifting requires conjunction_arguments")
         if self.disjunction_closure_cap <= 0:
             raise DeclarationError("disjunction_closure_cap must be positive")
+        if self.disjunction_closure_cap > MAX_DISJUNCTION_CLOSURE_CAP:
+            raise DeclarationError(
+                f"disjunction_closure_cap must be at most {MAX_DISJUNCTION_CLOSURE_CAP}"
+            )
 
 
 #: Option name to value type, in declaration order.
@@ -380,25 +388,22 @@ class EvidenceStructure:
         the round before added, in the order of all pairs: older pairs would
         only merge again.  Hitting the cap sets :attr:`disjunction_capped`.
         """
-        budget = self._options.disjunction_closure_cap
+        limit = len(pool) + self._options.disjunction_closure_cap
         done = 0
         while done < len(pool):
             count = len(pool)
             for i in range(count):
                 for j in range(max(i + 1, done), count):
                     first, second = pool[i], pool[j]
-                    size = len(pool)
                     self._add(
                         first.presumption | second.presumption,
                         first.conclusion | second.conclusion,
                         None,
                         ORIGIN_DISJUNCTION,
                     )
-                    if len(pool) > size:
-                        budget -= 1
-                        if not budget:
-                            self.disjunction_capped = True
-                            return
+                    if len(pool) == limit:
+                        self.disjunction_capped = True
+                        return
             done = count
 
     # -- validation ---------------------------------------------------------

@@ -257,7 +257,42 @@ def test_usage_errors_exit_one():
 def test_missing_file_exits_one(tmp_path, capsys):
     code, _ = run_cli(["check", str(tmp_path / "absent.res")])
     assert code == 1
-    assert "absent.res" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("res: error: [Errno 2] ") and "absent.res" in err
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+RANK_ALL = [
+    "rank", str(fixture_path("hominids.res")),
+    "--given", "e1 & e2 & e12 & e23 & e13", "--candidates", "all",
+]
+
+
+def test_a_closed_stdout_stops_quietly(capsys):
+    with contextlib.redirect_stdout(_ClosedPipe()):
+        code = cli.main(RANK_ALL)
+    assert code == 1
+    assert capsys.readouterr().err == ""
+
+
+def test_a_closed_pipe_stops_the_process_quietly():
+    # The read end is closed before the child starts, so its first write fails.
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "res.cli", *RANK_ALL],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": package_root},
+        )
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (1, "")
 
 
 def test_parse_errors_are_located_on_stderr(tmp_path, capsys):
@@ -304,6 +339,12 @@ def test_set_errors_name_the_flag_and_the_rule(capsys):
         "res: error: bad --set 'disjunction_closure_cap=many': "
         "option disjunction_closure_cap expects an integer, got 'many'\n"
     )
+    assert run_cli(["check", EXAMPLE1, "--set", "disjunction_closure_cap=4097"]) == (1, "")
+    assert capsys.readouterr().err == (
+        "res: error: bad --set 'disjunction_closure_cap=4097': "
+        "disjunction_closure_cap must be at most 4096\n"
+    )
+    assert run_cli(["check", EXAMPLE1, "--set", "disjunction_closure_cap=4096"])[0] == 0
     code, _ = run_cli(
         ["check", EXAMPLE1, "--set", "conjunction_lifting=true",
          "--set", "conjunction_arguments=true"]

@@ -164,6 +164,12 @@ def test_inconsistent_options_are_located_at_the_options_line():
     (err,) = parse_errors(HEADER + "options: disjunction_closure_cap=0\n")
     assert err.line == 4
     assert err.message == "options: disjunction_closure_cap must be positive"
+    for cap in (4097, 100000000):
+        (err,) = parse_errors(HEADER + f"options: disjunction_closure_cap={cap}\n")
+        assert err.line == 4
+        assert err.message == "options: disjunction_closure_cap must be at most 4096"
+    document = parse_document(HEADER + "options: disjunction_closure_cap=4096\n")
+    assert document.options.disjunction_closure_cap == 4096
 
 
 def test_unknown_statement():

@@ -327,6 +327,11 @@ def test_option_problems():
         StructureOptions(conjunction_lifting=True)
     with pytest.raises(DeclarationError, match="must be positive"):
         StructureOptions(disjunction_closure_cap=0)
+    assert StructureOptions(disjunction_closure_cap=4096).disjunction_closure_cap == 4096
+    with pytest.raises(DeclarationError, match="must be at most 4096"):
+        StructureOptions(disjunction_closure_cap=4097)
+    with pytest.raises(DeclarationError, match="must be at most 4096"):
+        replace(StructureOptions(), disjunction_closure_cap=4097)
     with pytest.raises(DeclarationError, match="requires conjunction_arguments"):
         replace(
             StructureOptions(conjunction_arguments=True, conjunction_lifting=True),
