@@ -51,11 +51,12 @@ class SupportMasks:
     """
 
     def __init__(self, view: ConditionedStructure):
-        rows, position = view.closure._rows, view.structure.position
+        rows, row = view.closure._rows, view.closure._row
+        position = view.structure.position
         at = [position(argument.id) for argument in view.triggered]
         self.frame = view.structure.conclusion_frame
         self.bits = [1 << i for i in at]
-        self._rows = [rows[i] for i in at]
+        self._rows = [rows[i] or row(i) for i in at]
         self._by_conclusion: dict[int, int] = {}
         for argument, bit in zip(view.triggered, self.bits):
             members = argument.conclusion.members

@@ -13,16 +13,19 @@ five families of seed pairs:
 * optionally, equality across one presumption, and lifting of declared
   presumption-level strengths to conjunction-rule arguments.
 
-The seeds are one successor bit mask per argument, each family ORed in by
-index or sorted scan: a presumption group meets only the groups with fewer
-models, and lifting looks its targets up by presumption and by parent pair.
-Only a declared pair keeps its cause; any other pair's :class:`SeedReason`
-is worked out from its two arguments when a chain shows it.
+The seeds are one successor bit mask per argument.  :func:`build_closure`
+ORs in the declarations, the same-presumption masks and lifting (looked up
+by presumption and by parent pair) at once.  Nothing else is closed until
+it is read: a presumption group's specificity seeds, found among the groups
+with fewer models, when a search first expands one of its members, and an
+argument's row when it is first read.  Both are memoised.  Only a declared
+pair keeps its cause; any other pair's :class:`SeedReason` is worked out
+from its two arguments when a chain shows it.
 
 Strictness is never seeded: ``a`` is strictly below ``b`` exactly when the
-closure holds one way and not the other.  Declared strict or equal pairs
-are instead audited afterwards by :func:`check_consistency`, which reports
-each violation with a seed-by-seed provenance chain.
+closure holds one way and not the other.  Declared strict pairs are instead
+audited afterwards by :func:`check_consistency`, which reports each
+violation with a seed-by-seed provenance chain.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .errors import UsageError
 from .structure import (
     EvidenceStructure,
     KIND_EQUAL,
-    KIND_LEQ,
     KIND_STRICT,
     LEVEL_ARGUMENT,
     LEVEL_PRESUMPTION,
@@ -77,22 +79,46 @@ _DETAILS = {
 class OrderClosure:
     """The closed strength relation, queryable by argument id.
 
-    *successors* holds each argument position's seeds as one bit mask, and
-    *declared* each declared pair's first declaration; :meth:`_reason` works
-    out any other seed pair's cause from its two arguments.
+    *seeds* holds each argument position's eagerly found seeds as one bit
+    mask, *bits* each presumption group's members as one, and *declared*
+    each declared pair's first declaration; :meth:`_reason` works out any
+    other seed pair's cause from its two arguments.  Rows and full successor
+    masks (the seeds with specificity added) are closed on first read and
+    memoised in ``_rows`` and ``_successors``, where ``0`` means not yet:
+    each holds its own argument, so none is ever ``0``.
     """
 
-    def __init__(self, structure: EvidenceStructure, successors: list, declared: dict):
+    def __init__(self, structure: EvidenceStructure, seeds: list, declared: dict,
+                 bits: dict):
         self.structure = structure
         self.ids = tuple(a.id for a in structure.arguments)
-        self._successors = successors
+        self._seeds = seeds
         self._declared = declared
-        self._rows = _reach(successors)
+        self._bits = bits
+        # A strictly more specific presumption has fewer models: it sorts earlier.
+        self._groups = sorted(bits, key=int.bit_count)
+        self._successors = [0] * len(seeds)
+        self._rows = [0] * len(seeds)
+
+    def _row(self, i: int) -> int:
+        """Row *i*: *i* and every position it is at most as strong as."""
+        return self._rows[i] or _reach(i, self._rows, self._successors, self._successors_of)
+
+    def _successors_of(self, i: int) -> int:
+        """The full successor mask of *i*, filling in those of its whole group."""
+        if not self._successors[i]:
+            weak, groups = self.structure.arguments[i].presumption.models, self._groups
+            stronger = sum(self._bits[strong] for strong in groups[:groups.index(weak)]
+                           if strong | weak == weak)
+            for j in self.structure.presumption_groups[weak]:
+                self._successors[j] = self._seeds[j] | stronger
+        return self._successors[i]
 
     def leq(self, lower: str, upper: str) -> bool:
         """Is *lower* at most as strong as *upper*?"""
         position = self.structure.position
-        return bool(self._rows[position(lower)] >> position(upper) & 1)
+        i = position(lower)
+        return bool((self._rows[i] or self._row(i)) >> position(upper) & 1)
 
     def _reason(self, i: int, j: int) -> SeedReason:
         """The first cause of seed pair ``(i, j)``, in the order seeds are found."""
@@ -117,10 +143,12 @@ class OrderClosure:
         for a reflexive pair; raises if the relation does not hold.
         """
         start, goal = self.structure.position(lower), self.structure.position(upper)
-        if not self._rows[start] >> goal & 1:
+        if not self._row(start) >> goal & 1:
             raise UsageError(f"{lower!r} is not at most {upper!r}; no chain exists")
         if start == goal:
             return []
+        # Closing a row expands every position it holds, so every position
+        # the search meets has its full successor mask.
         parent, seen, queue = {}, 1 << start, deque([start])
         while True:
             here = queue.popleft()
@@ -143,31 +171,29 @@ class OrderClosure:
         ]
 
 
-def _reach(successors: list[int]) -> list[int]:
-    """Reflexive-transitive closure of a graph given by successor masks.
+def _reach(start: int, rows: list[int], successors: list[int], expand) -> int:
+    """Close row *start* of a graph given by successor masks; memoise it in *rows*.
 
     Row ``i`` is a bitmask holding ``i`` itself and every node a path from
-    ``i`` reaches.  A search from ``start`` expands one frontier mask at a
-    time, and takes the finished row of each node below ``start`` it meets
-    whole, instead of searching past it.
+    ``i`` reaches.  ``0`` in *rows* marks a row not closed yet, and ``0`` in
+    *successors* a mask that ``expand(node)`` gives.  The search expands one
+    frontier mask at a time, and takes the finished row of each node it
+    meets whole, instead of searching past it.
     """
-    rows: list[int] = []
-    for start, reach in enumerate(successors):
-        seen = 1 << start
-        below = seen - 1
-        while frontier := reach & ~seen:
-            low = frontier & below
-            while low:
-                seen |= rows[(low & -low).bit_length() - 1]
-                low &= ~seen
-            frontier &= ~seen
-            seen |= frontier
-            reach = 0
-            while frontier:
-                reach |= successors[(frontier & -frontier).bit_length() - 1]
+    seen, reach = 1 << start, successors[start] or expand(start)
+    while frontier := reach & ~seen:
+        seen |= frontier
+        reach = 0
+        while frontier:
+            node = (frontier & -frontier).bit_length() - 1
+            if row := rows[node]:
+                seen |= row
+                frontier &= ~row
+            else:
+                reach |= successors[node] or expand(node)
                 frontier &= frontier - 1
-        rows.append(seen)
-    return rows
+    rows[start] = seen
+    return seen
 
 
 def _declared_pairs(declaration, structure) -> list[tuple[int, int]]:
@@ -189,15 +215,15 @@ def build_closure(structure: EvidenceStructure) -> OrderClosure:
             "building a closure"
         )
     arguments = structure.arguments
-    successors = [0] * len(arguments)
+    seeds = [0] * len(arguments)
     # Only a declared pair keeps its cause: the first declaration of it.
     declared: dict[tuple[int, int], RelationDeclaration] = {}
     for declaration in structure.declarations:
         for (i, j) in _declared_pairs(declaration, structure):
-            successors[i] |= 1 << j
+            seeds[i] |= 1 << j
             declared.setdefault((i, j), declaration)
             if declaration.kind == KIND_EQUAL:
-                successors[j] |= 1 << i
+                seeds[j] |= 1 << i
                 declared.setdefault((j, i), declaration)
 
     # add_support has checked every frame, so raw masks compare directly.
@@ -207,24 +233,18 @@ def build_closure(structure: EvidenceStructure) -> OrderClosure:
     for models, members in groups.items():
         for i in members:
             lower = arguments[i].conclusion.members
-            successors[i] |= bits[models] if same_presumption_equal else sum(
+            seeds[i] |= bits[models] if same_presumption_equal else sum(
                 1 << j for j in members if not lower & ~arguments[j].conclusion.members
             )
-    # A strictly more specific presumption has fewer models: it sorts earlier.
-    ordered = sorted(groups, key=int.bit_count)
-    for k, weak in enumerate(ordered):
-        stronger = sum(bits[strong] for strong in ordered[:k] if strong | weak == weak)
-        for i in groups[weak]:
-            successors[i] |= stronger
 
     if structure.options.conjunction_lifting:
-        _seed_lifting(structure, successors, bits)
+        _seed_lifting(structure, seeds, bits)
 
-    return OrderClosure(structure, successors, declared)
+    return OrderClosure(structure, seeds, declared, bits)
 
 
-def _seed_lifting(structure, successors: list[int], bits: dict[int, int]) -> None:
-    """OR the conjunction-lifting seeds into *successors*.
+def _seed_lifting(structure, seeds: list[int], bits: dict[int, int]) -> None:
+    """OR the conjunction-lifting seeds into *seeds*.
 
     Parents ``(x, y)`` lift to each target presuming something above both
     in the declared presumption order, or with parents above ``x`` and
@@ -241,7 +261,9 @@ def _seed_lifting(structure, successors: list[int], bits: dict[int, int]) -> Non
             declared[low] |= 1 << high
             if declaration.kind == KIND_EQUAL:
                 declared[high] |= 1 << low
-    rows = _reach(declared)
+    rows = [0] * len(declared)
+    for k in range(len(declared)):  # every mask is known, so expand only reads
+        _reach(k, rows, declared, declared.__getitem__)
     # The declared presumptions each mask lies below, the mask itself included.
     above = {mask: {high for high, k in position.items() if row >> k & 1}
              for mask, row in zip(position, rows)}
@@ -257,24 +279,21 @@ def _seed_lifting(structure, successors: list[int], bits: dict[int, int]) -> Non
             up_x, up_y = (above.get(p.models, {p.models}) for p in (x, y))
             for u in up_x:
                 for v in up_y:
-                    successors[i] |= by_pair.get((u, v), 0)
+                    seeds[i] |= by_pair.get((u, v), 0)
 
 
 @record
 class Violation:
-    """A declared strict/equal relation the closure fails to honour."""
+    """A declared strict relation the closure fails to honour."""
 
     declaration: RelationDeclaration
-    counter: tuple[str, str]  # the pair whose presence (or absence) offends
-    chain: tuple[ChainStep, ...]  # derivation of the offending direction
+    counter: tuple[str, str]  # the reverse pair, whose presence offends
+    chain: tuple[ChainStep, ...]  # derivation of the reverse pair
 
     def describe(self) -> str:
         lower, upper = self.counter
-        if self.declaration.kind == KIND_STRICT:
-            offence = f"also makes {lower} at most {upper}"
-        else:
-            offence = f"does not relate {lower} and {upper} both ways"
-        return f"declared {self.declaration.describe()!r} but the closure {offence}"
+        return (f"declared {self.declaration.describe()!r} but the closure also "
+                f"makes {lower} at most {upper}")
 
 
 @record(frozen=False)
@@ -289,26 +308,23 @@ class ConsistencyReport:
 def check_consistency(
     closure: OrderClosure, structure: EvidenceStructure
 ) -> ConsistencyReport:
-    """Audit every declared strict and equal relation against the closure.
+    """Audit every declared strict relation against the closure.
 
     A strict declaration is violated when the reverse direction is also
     derivable (the pair collapsed into an equivalence); the report then
-    carries the chain that derives the reverse direction.
+    carries the chain that derives the reverse direction.  An equal
+    declaration seeds both directions, so it always holds.
     """
     if closure.structure is not structure:
         raise UsageError("closure was built for a different structure")
     report = ConsistencyReport()
-    ids, rows = closure.ids, closure._rows
+    ids, row = closure.ids, closure._row
     for declaration in structure.declarations:
-        if declaration.kind == KIND_LEQ:
+        if declaration.kind != KIND_STRICT:
             continue
         for (low, high) in _declared_pairs(declaration, structure):
-            up, down = rows[low] >> high & 1, rows[high] >> low & 1
-            if declaration.kind == KIND_STRICT and down:
+            if row(high) >> low & 1:
                 counter = (ids[high], ids[low])
                 chain = tuple(closure.provenance_chain(*counter))
                 report.violations.append(Violation(declaration, counter, chain))
-            elif declaration.kind == KIND_EQUAL and not (up and down):
-                counter = (ids[low], ids[high])
-                report.violations.append(Violation(declaration, counter, ()))
     return report

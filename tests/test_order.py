@@ -577,11 +577,12 @@ def reference_seeds(structure) -> dict[tuple[int, int], tuple[str, str]]:
 
 
 def seed_pairs(closure) -> set[tuple[int, int]]:
-    """The non-loop seed pairs of *closure*'s successor masks."""
+    """The non-loop seed pairs of *closure*'s full successor masks."""
+    masks = [closure._successors_of(i) for i in range(len(closure.ids))]
     return {
         (i, j)
-        for i, mask in enumerate(closure._successors)
-        for j in range(len(closure.ids))
+        for i, mask in enumerate(masks)
+        for j in range(len(masks))
         if i != j and mask >> j & 1
     }
 
@@ -716,8 +717,9 @@ def reference_chain(successors, seeds, start: int, goal: int) -> list[tuple]:
     return [(i, j, *seeds[(i, j)]) for i, j in zip(path, path[1:])]
 
 
-def assert_chains_match_reference(structure, closure) -> int:
-    """Check every chain of *closure*; return how many take several steps."""
+def assert_chains_match_reference(structure, closure, starts=None) -> int:
+    """Check every chain of *closure*, from each of *starts* in turn (every
+    position in order by default); return how many take several steps."""
     seeds = reference_seeds(structure)
     ids = closure.ids
     where = {name: k for k, name in enumerate(ids)}
@@ -725,7 +727,7 @@ def assert_chains_match_reference(structure, closure) -> int:
         sorted(j for (i, j) in seeds if i == k and j != k) for k in range(len(ids))
     ]
     longer = 0
-    for start in range(len(ids)):
+    for start in range(len(ids)) if starts is None else starts:
         for goal in range(len(ids)):
             if not closure.leq(ids[start], ids[goal]):
                 continue
@@ -750,3 +752,81 @@ def test_chains_match_a_reference_search(example1, hominids, hominids_lifting):
         longer += assert_chains_match_reference(*build_engine(recipe))
     # Multi-step chains pin the tie-break between equally short paths.
     assert longer > 100
+
+
+# -- rows closed on first read -----------------------------------------------
+
+
+def filled(memo: list[int]) -> set[int]:
+    """The positions whose row or successor mask has been computed."""
+    return {i for i, mask in enumerate(memo) if mask}
+
+
+def test_rows_read_in_any_order_match_the_oracle():
+    rng = random.Random(17)
+    longer = 0
+    for k in range(200):
+        recipe = random_recipe(rng, allow_generation=True)
+        if k % 2:
+            # Relate presumptions the arguments carry, so that lifting fires.
+            masks = sorted({mask for (mask, _) in recipe.supports})
+            related = tuple((rng.choice(KINDS), rng.choice(masks), rng.choice(masks))
+                            for _ in range(rng.randint(0, 3)))
+            recipe = dataclasses.replace(recipe, pres_rels=recipe.pres_rels + related,
+                                         conjunction_arguments=True,
+                                         conjunction_lifting=True)
+        model = oracle.evaluate(recipe)
+        structure, closure = build_engine(recipe)
+        if k % 3 == 0:
+            check_consistency(closure, structure)
+        ids = closure.ids
+        starts = list(range(len(ids)))
+        rng.shuffle(starts)
+        for i in starts:
+            for j in range(len(ids)):
+                assert closure.leq(ids[i], ids[j]) == ((i, j) in model.leq)
+        # Which rows were closed first changes no chain.
+        fresh = build_closure(structure)
+        if k % 3 == 1:
+            check_consistency(fresh, structure)
+        rng.shuffle(starts)
+        longer += assert_chains_match_reference(structure, fresh, starts)
+        longer += assert_chains_match_reference(structure, closure, starts)
+    assert longer > 100
+
+
+def test_only_the_rows_read_are_closed(hominids):
+    structure = hominids[0]
+    closure = build_closure(structure)  # the fixture's closure is shared
+    # Its four declarations are strict, so the audit reads the row of each
+    # argument presuming a declared upper side: e1, e2 & e13 and e13.
+    assert check_consistency(closure, structure).ok
+    assert [closure.ids[i] for i in sorted(filled(closure._rows))] == [
+        "a1", "a10", "a11", "a12", "a14", "a17"
+    ]
+    assert len(filled(closure._successors)) == 10
+
+    # Without a strict declaration the audit reads nothing: an equal one is
+    # seeded both ways, so it always holds.
+    hominids_text = fixture_text("hominids.res")
+    for text in (fixture_text("example1.res"), hominids_text.replace(") < pres(", ") <= pres("),
+                 hominids_text.replace(") < pres(", ") ~ pres(")):
+        quiet = parse_document(text).to_structure()
+        quiet_closure = build_closure(quiet)
+        assert check_consistency(quiet_closure, quiet).ok
+        assert len(quiet.arguments) > 2
+        assert filled(quiet_closure._rows) == filled(quiet_closure._successors) == set()
+
+    # One query closes one row, and fills the successor masks of the groups
+    # the row reaches, whole: the search never expands a position it cannot reach.
+    groups = structure.presumption_groups
+    for name, reached in (("a1", 3), ("a2", 7), ("a4", 16), ("a15", 1)):
+        closure = build_closure(structure)
+        start = structure.position(name)
+        closure.leq(name, "a1")
+        row = closure._rows[start]
+        assert filled(closure._rows) == {start} and row.bit_count() == reached
+        inside = {i for i in range(len(closure.ids)) if row >> i & 1}
+        assert filled(closure._successors) == inside == {
+            j for i in inside for j in groups[structure.arguments[i].presumption.models]
+        }
