@@ -46,35 +46,40 @@ class SupportMasks:
 
     ``signature(p)`` is the pair (S(p), D(p)): S(p) the triggered arguments
     concluding a subset of ``p``, D(p) those at most as strong as one of
-    S(p) by the closure rows.  It is cached per members mask, and ``p``'s
+    S(p) by the closure rows.  Each distinct triggered conclusion G keeps
+    (G, S_G, D_G), D_G read from the rows once per view; a row meets S(p)
+    exactly when it meets some S_G with G inside ``p``, so D(p) is the
+    union of those D_G.  The pair is cached per members mask, and ``p``'s
     frame is checked on every call, so a foreign frame never reads the cache.
     """
 
     def __init__(self, view: ConditionedStructure):
-        rows, row = view.closure._rows, view.closure._row
-        position = view.structure.position
+        row, position = view.closure._row, view.structure.position
         at = [position(argument.id) for argument in view.triggered]
         self.frame = view.structure.conclusion_frame
         self.bits = [1 << i for i in at]
-        self._rows = [rows[i] or row(i) for i in at]
-        self._by_conclusion: dict[int, int] = {}
+        by_conclusion: dict[int, int] = {}
         for argument, bit in zip(view.triggered, self.bits):
             members = argument.conclusion.members
-            self._by_conclusion[members] = self._by_conclusion.get(members, 0) | bit
+            by_conclusion[members] = by_conclusion.get(members, 0) | bit
+        rows = [(bit, row(i)) for bit, i in zip(self.bits, at)]
+        self._groups = [  # (G, S_G, D_G) per distinct triggered conclusion G
+            (members, support, sum(bit for bit, reach in rows if reach & support))
+            for members, support in by_conclusion.items()
+        ]
         self._signatures: dict[int, tuple[int, int]] = {}
 
     def signature(self, p: ConclusionSentence) -> tuple[int, int]:
         if p.frame is not self.frame and p.frame != self.frame:
             raise UsageError("conclusion belongs to a different frame")
         found = self._signatures.get(p.members)
-        if found is None:  # the groups are disjoint, so their sum is their union
-            support = sum(
-                bits for members, bits in self._by_conclusion.items()
-                if members & ~p.members == 0
-            )
-            found = self._signatures[p.members] = support, sum(
-                bit for bit, row in zip(self.bits, self._rows) if row & support
-            )
+        if found is None:
+            support = dominated = 0
+            for members, group_support, group_dominated in self._groups:
+                if members & ~p.members == 0:
+                    support |= group_support
+                    dominated |= group_dominated
+            found = self._signatures[p.members] = support, dominated
         return found
 
 

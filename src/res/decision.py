@@ -5,7 +5,7 @@ it, where an argument supports a conclusion when its own conclusion implies
 it.  One conclusion is at most as believable as another when every argument
 for the first is matched by an at-least-as-strong argument for the second;
 a conclusion with no support at all sits below anything that has some.
-That definition is decided in one place, :func:`leq_conclusions`, and a
+That definition is decided in one place, the kernel :func:`_leq`, and a
 pair of its answers becomes a verdict through one table.  Everything else
 here (verdicts, plausibility, maximal candidates, diagrams, explanations) is
 bookkeeping over it: ``explain`` takes both directions from it as well, and
@@ -17,8 +17,10 @@ The kernel decides on signatures: bit masks over pool positions that a view
 caches per conclusion on first use (``SupportMasks.signature``).  S(p) holds
 the triggered supports of p, D(q) the triggered arguments at most as strong
 as one of S(q).  Then p <= q is ``S(p) & ~D(q) == 0``, or ``S(q) != 0`` when
-S(p) is empty, with no closure lookup per support pair.  The frame of a
-conclusion is checked on every lookup, cached or not.
+S(p) is empty, with no closure lookup per support pair.  ``compare`` reads
+each side's signature once and asks the kernel both ways;
+``leq_conclusions`` asks it one way.  The frame of a conclusion is checked
+on every lookup, cached or not.
 """
 
 from __future__ import annotations
@@ -54,6 +56,12 @@ def supports_of(
     return [a for a, bit in zip(conditioned.triggered, masks.bits) if support & bit]
 
 
+def _leq(first: tuple[int, int], second: tuple[int, int]) -> bool:
+    """The one kernel: does signature *first* sit at most as high as *second*?"""
+    base = first[0]
+    return base & ~second[1] == 0 if base else second[0] != 0
+
+
 def leq_conclusions(
     conditioned: ConditionedStructure,
     first: ConclusionSentence,
@@ -61,9 +69,7 @@ def leq_conclusions(
 ) -> bool:
     """Is *first* at most as believable as *second* under the observation?"""
     signature = conditioned.support_masks.signature
-    base = signature(first)[0]
-    support, dominated = signature(second)
-    return base & ~dominated == 0 if base else support != 0
+    return _leq(signature(first), signature(second))
 
 
 # The verdict for (first <= second, second <= first).
@@ -82,10 +88,9 @@ def compare(
     first: ConclusionSentence,
     second: ConclusionSentence,
 ) -> ComparisonVerdict:
-    return _VERDICTS[
-        leq_conclusions(conditioned, first, second),
-        leq_conclusions(conditioned, second, first),
-    ]
+    signature = conditioned.support_masks.signature
+    left, right = signature(first), signature(second)
+    return _VERDICTS[_leq(left, right), _leq(right, left)]
 
 
 def is_plausible(conditioned: ConditionedStructure, p: ConclusionSentence) -> bool:
@@ -121,16 +126,20 @@ def rank(
     if not candidates:
         raise UsageError("rank needs at least one candidate")
     count, less = len(candidates), ComparisonVerdict.STRICTLY_LESS
+    greater = ComparisonVerdict.STRICTLY_GREATER
     matrix = [[None] * count for _ in range(count)]
+    beaten_by = [0] * count  # bit j: candidate j strictly beats candidate i
     for i, first in enumerate(candidates):
         row = matrix[i]
         for j in range(i, count):
             row[j] = verdict = compare(conditioned, first, candidates[j])
             matrix[j][i] = _MIRRORED[verdict]
-    beaten_by = [  # bit j: candidate j strictly beats candidate i
-        sum(1 << j for j, verdict in enumerate(row) if verdict is less and j != i)
-        for i, row in enumerate(matrix)
-    ]
+            if j == i:
+                continue
+            if verdict is less:
+                beaten_by[i] |= 1 << j
+            elif verdict is greater:
+                beaten_by[j] |= 1 << i
     strata: list[tuple[ConclusionSentence, ...]] = []
     remaining = (1 << count) - 1
     while remaining:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import hypothesis.strategies as st
@@ -28,7 +29,7 @@ from res import (
 from res.semantics import ConclusionSentence, EvidenceSentence
 
 import oracle
-from strategies import build_engine, random_recipe, recipes
+from strategies import KINDS, build_engine, random_recipe, recipes
 
 EQ = ComparisonVerdict.EQUAL
 LT = ComparisonVerdict.STRICTLY_LESS
@@ -547,23 +548,30 @@ def test_explanations_agree_with_compare():
 
 
 def test_every_verdict_comes_from_the_one_kernel(example1, monkeypatch):
-    # Flip {Al2} <= {Al3} only; compare and explain must both follow it.
-    # rank is left out: a flipped kernel can make the strict order cyclic.
+    # Flip the kernel on the signatures of {Al1} <= {Al3} only; compare,
+    # leq_conclusions and explain must all follow it.  Under e1 & e2 the
+    # three singletons have distinct signatures, so the flip picks out one
+    # pair.  rank is left out: a flipped kernel can make the strict order cyclic.
     from res import decision
 
     structure, closure = example1
-    neither = observe(structure, closure, "!e1 & !e2")
-    al2, al3 = concl(structure, "{Al2}"), concl(structure, "{Al3}")
-    assert compare(neither, al2, al3) is NC
-    kernel = decision.leq_conclusions
+    both = observe(structure, closure, "e1 & e2")
+    al1, al3 = concl(structure, "{Al1}"), concl(structure, "{Al3}")
+    signature = both.support_masks.signature
+    pair = signature(al1), signature(al3)
+    assert pair == ((1, 3), (16, 24))
+    assert compare(both, al1, al3) is NC
+    kernel = decision._leq
 
-    def flipped(conditioned, first, second):
-        answer = kernel(conditioned, first, second)
-        return not answer if (first, second) == (al2, al3) else answer
+    def flipped(first, second):
+        answer = kernel(first, second)
+        return not answer if (first, second) == pair else answer
 
-    monkeypatch.setattr(decision, "leq_conclusions", flipped)
-    assert compare(neither, al2, al3) is LT
-    trace = explain(neither, al2, al3)
+    monkeypatch.setattr(decision, "_leq", flipped)
+    assert compare(both, al1, al3) is LT
+    assert compare(both, al3, al1) is GT
+    assert leq_conclusions(both, al1, al3)
+    trace = explain(both, al1, al3)
     assert trace.verdict is LT
     assert trace.forward.holds
     assert not trace.backward.holds
@@ -571,20 +579,80 @@ def test_every_verdict_comes_from_the_one_kernel(example1, monkeypatch):
 
 def test_rank_refuses_a_cyclic_strict_order(example1, monkeypatch):
     # A faulty kernel that puts {Al1} < {Al2} < {Al3} < {Al1} leaves no
-    # candidate unbeaten; rank must raise instead of looping forever.
+    # candidate unbeaten; rank must raise instead of looping forever.  The
+    # kernel sees signatures, distinct for the three singletons under e1 & e2.
     from res import decision
 
     structure, closure = example1
-    neither = observe(structure, closure, "!e1 & !e2")
+    both = observe(structure, closure, "e1 & e2")
     singles = candidate_sentences(structure.conclusion_frame, "singletons")
-    pos = {c.members: i for i, c in enumerate(singles)}
+    pos = {both.support_masks.signature(c): i for i, c in enumerate(singles)}
+    assert len(pos) == 3
 
-    def cyclic(conditioned, p, q):
-        return (pos[q.members] - pos[p.members]) % 3 in (0, 1)
+    def cyclic(first, second):
+        return (pos[second] - pos[first]) % 3 in (0, 1)
 
-    monkeypatch.setattr(decision, "leq_conclusions", cyclic)
+    monkeypatch.setattr(decision, "_leq", cyclic)
     with pytest.raises(ResError, match="cyclic"):
-        rank(neither, singles)
+        rank(both, singles)
+
+
+def test_signatures_match_their_definition():
+    # S(p): the triggered arguments concluding inside p.  D(p): the triggered
+    # arguments the closure puts at or below one of S(p).  Every members
+    # mask of the frame is read, in a shuffled order, from one view.
+    rng = random.Random(1818)
+    lifted = wider = 0
+    for k in range(100):
+        recipe = random_recipe(rng, allow_generation=True)
+        if k % 2:
+            # Relate presumptions the arguments carry, so that lifting fires.
+            masks = sorted({mask for (mask, _) in recipe.supports})
+            related = tuple((rng.choice(KINDS), rng.choice(masks), rng.choice(masks))
+                            for _ in range(rng.randint(0, 3)))
+            recipe = dataclasses.replace(recipe, pres_rels=recipe.pres_rels + related,
+                                         conjunction_arguments=True,
+                                         conjunction_lifting=True)
+        structure, closure = build_engine(recipe)
+        lifted += structure.options.conjunction_lifting
+        # One observed model triggers every argument whose presumption it meets.
+        given = 1 << rng.randrange(1 << len(recipe.atoms))
+        view = condition(structure, closure,
+                         EvidenceSentence(structure.evidence_frame, given))
+        bit = {a.id: 1 << structure.position(a.id) for a in view.triggered}
+        frame = structure.conclusion_frame
+        order = list(range(frame.full_mask + 1))
+        rng.shuffle(order)
+        for members in order:
+            support = [a.id for a in view.triggered
+                       if a.conclusion.members & ~members == 0]
+            dominated = [a.id for a in view.triggered
+                         if any(closure.leq(a.id, b) for b in support)]
+            signature = view.support_masks.signature(ConclusionSentence(frame, members))
+            assert signature == (sum(bit[a] for a in support),
+                                 sum(bit[a] for a in dominated))
+            wider += len(dominated) > len(support)
+    assert lifted > 40 and wider > 150
+
+
+def test_a_comparison_reads_each_signature_once(hominids, monkeypatch):
+    from res.conditioning import SupportMasks
+
+    structure, closure = hominids
+    view = observe(structure, closure, "e1 & e2")
+    b1, b2 = concl(structure, "{B1}"), concl(structure, "{B1, B2}")
+    reads = []
+    signature = SupportMasks.signature
+
+    def counted(masks, p):
+        reads.append(p.members)
+        return signature(masks, p)
+
+    monkeypatch.setattr(SupportMasks, "signature", counted)
+    for call in (compare, leq_conclusions):
+        reads.clear()
+        call(view, b1, b2)
+        assert reads == [b1.members, b2.members]
 
 
 # ---------------------------------------------------------------------------
